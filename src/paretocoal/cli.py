@@ -29,7 +29,6 @@ from .rates import (
     LazyRateRows,
     Params,
     build_rate_table,
-    stirling_case_matrix,
     xi_transition_matrix,
 )
 from .regression import fit_c_N_scaling
@@ -113,9 +112,7 @@ def _cmd_rates(cfg: ExperimentConfig) -> str:
     alpha = _require(cfg.alpha, "--alpha")
     beta = cfg.beta if cfg.beta is not None else 0.0
     i_max = cfg.i_max if cfg.i_max is not None else 20
-    if alpha == 0.0:
-        table = stirling_case_matrix(beta, i_max)
-    elif alpha < 1.0:
+    if alpha < 1.0:
         table = xi_transition_matrix(Params(alpha, beta), i_max)
     else:
         table = build_rate_table(Params(alpha, beta), i_max)
@@ -123,16 +120,9 @@ def _cmd_rates(cfg: ExperimentConfig) -> str:
 
 
 def _cmd_xi_matrix(cfg: ExperimentConfig) -> str:
-    alpha = _require(cfg.alpha, "--alpha")
-    beta = cfg.beta if cfg.beta is not None else 0.0
-    i_max = cfg.i_max if cfg.i_max is not None else 20
-    if not 0.0 <= alpha < 1.0:
+    if not 0.0 <= _require(cfg.alpha, "--alpha") < 1.0:
         raise ValueError("xi-matrix requires 0 <= alpha < 1")
-    if alpha == 0.0:
-        table = stirling_case_matrix(beta, i_max)
-    else:
-        table = xi_transition_matrix(Params(alpha, beta), i_max)
-    return table.to_csv()
+    return _cmd_rates(cfg)
 
 
 def _model_from(cfg: ExperimentConfig) -> PartitionModel:

@@ -13,7 +13,7 @@ times, which is what the explicit mode and the genealogy samplers use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class ForwardState:
     log_global: float
     log_holder_mean: float
     log_fittest: float
-    log_increments: tuple[float, ...] = field(default=())
 
 
 def initial_state(config: ForwardConfig) -> ForwardState:
@@ -101,7 +100,6 @@ def step(state: ForwardState, config: ForwardConfig, rng: RngStream) -> ForwardS
         log_global=log_global,
         log_holder_mean=log_global - math.log(config.N) / config.alpha,
         log_fittest=state.log_global - log_tau1 / config.alpha,
-        log_increments=state.log_increments + (incr,),
     )
 
 
@@ -129,7 +127,6 @@ def explicit_fitnesses(
         log_global=log_global,
         log_holder_mean=log_global - math.log(config.N) / config.alpha,
         log_fittest=state.log_global - log_tau1 / config.alpha,
-        log_increments=state.log_increments + (incr,),
     )
     return new, fit
 

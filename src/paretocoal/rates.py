@@ -3,8 +3,10 @@
 Covers the continuous-time multiple-merger rates lambda_(i,j) for the
 beta(2-alpha, alpha-beta) family (including the alpha = 1 logarithmic case
 and the Kingman binary-merger limit), the discrete-time simultaneous-merger
-transition matrix for alpha in (0,1), the Stirling-number boundary case at
-alpha = 0, and the leading-order coalescence probability in every regime.
+transition matrix for alpha in [0, 1) (the Poisson-Dirichlet(alpha, -beta)
+block-count law, built by one recursion that also covers the alpha = 0
+Stirling-number case), and the leading-order coalescence probability in
+every regime.
 
 All gamma/beta evaluations run in log space; tables are immutable after
 construction and safe to share across threads.
@@ -12,7 +14,6 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -215,6 +216,10 @@ class RateTable:
     def total(self, i: int) -> float:
         return float(self.row(i).sum())
 
+    def cum_row(self, i: int) -> np.ndarray:
+        """Cumulative sums of row i, recomputed on every call."""
+        return np.cumsum(self.row(i))
+
     def to_csv(self) -> str:
         lines = ["i,j,value"]
         for i in sorted(self._rows):
@@ -232,11 +237,13 @@ def build_rate_table(params: Params, i_max: int) -> RateTable:
 
 
 class LazyRateRows:
-    """Rate rows computed on first use; duck-compatible with RateTable.
+    """Rate rows computed on demand; duck-compatible with RateTable.
 
     Simulation from a large initial block count touches only the states a
     trajectory visits, so materializing the full triangle would be wasted
-    work and memory.
+    work and memory. Only the cumulative rows the simulator draws from are
+    kept, one per visited block count, and shared by every trajectory run
+    on this object.
     """
 
     kind = "rates"
@@ -246,22 +253,26 @@ class LazyRateRows:
             raise ValueError("i_max >= 2 required")
         self.params = params
         self.i_max = i_max
-        self._cache: dict[int, np.ndarray] = {}
+        self._cum: dict[int, np.ndarray] = {}
 
     def row(self, i: int) -> np.ndarray:
         if i < 2 or i > self.i_max:
             raise ValueError(f"block count {i} outside table (i_max={self.i_max})")
-        row = self._cache.get(i)
-        if row is None:
-            row = rate_row(self.params, i)
-            self._cache[i] = row
-        return row
+        return rate_row(self.params, i)
+
+    def cum_row(self, i: int) -> np.ndarray:
+        """Cumulative sums of row i, built on first use and kept."""
+        cum = self._cum.get(i)
+        if cum is None:
+            cum = np.cumsum(self.row(i))
+            self._cum[i] = cum
+        return cum
 
 
 # ---------------------------------------------------------------------------
-# Discrete-time simultaneous-merger matrix, alpha in (0, 1)
+# Discrete-time simultaneous-merger matrix, alpha in [0, 1)
 
-_I_MAX_HARD_CAP = 30  # composition enumeration is 2^(i-1) per row
+_I_MAX_HARD_CAP = 2000  # the table holds i_max^2 / 2 doubles
 
 
 def _require_xi(params: Params) -> None:
@@ -294,73 +305,36 @@ def xi_merger_prob(params: Params, composition: tuple[int, ...]) -> float:
     return float(math.exp(log_phi))
 
 
-def _compositions(i: int, j: int):
-    # Compositions of i into j positive parts via cut points.
-    for cuts in itertools.combinations(range(1, i), j - 1):
-        bounds = (0,) + cuts + (i,)
-        yield tuple(bounds[k + 1] - bounds[k] for k in range(j))
+def _pd_block_counts(alpha: float, theta: float, i_max: int) -> RateTable:
+    """Block-count law of a Poisson-Dirichlet(alpha, theta) partition of i.
 
-
-def xi_transition_entry(params: Params, i: int, j: int) -> float:
-    """P_(i,j): enumerate compositions of i into j parts and sum products."""
-    _require_xi(params)
-    if not 1 <= j <= i:
-        raise ValueError("need 1 <= j <= i")
-    a = params.alpha
-    log_g1 = log_gamma(1 - a)
-    # g[m] = Gamma(m - alpha) / (Gamma(1 - alpha) m!), all positive and of
-    # moderate size for i <= 30, so plain products are safe here.
-    g = [0.0] + [
-        math.exp(log_gamma(m - a) - log_g1 - math.lgamma(m + 1))
-        for m in range(1, i + 1)
-    ]
-    total = math.fsum(
-        math.prod(g[p] for p in comp) for comp in _compositions(i, j)
-    )
-    log_pref = (
-        _xi_log_prefactor(params, i, j)
-        + math.lgamma(i + 1)
-        - math.lgamma(j + 1)
-    )
-    return float(math.exp(log_pref) * total)
-
-
-def xi_transition_matrix(params: Params, i_max: int) -> RateTable:
-    """Exact transition matrix of the discrete simultaneous-merger chain."""
-    _require_xi(params)
+    Row i holds P(i, k), k = 1..i, from Pitman's sequential recursion
+    P(n+1, k) = [P(n, k-1)(theta + (k-1)alpha) + P(n, k)(n - k alpha)]
+    / (theta + n), P(1, 1) = 1. With theta > -alpha every term is
+    nonnegative, so nothing cancels.
+    """
     if not 1 <= i_max <= _I_MAX_HARD_CAP:
-        raise ValueError(f"i_max must be in 1..{_I_MAX_HARD_CAP}")
+        raise ValueError(f"i_max must be in 1..{_I_MAX_HARD_CAP}, got {i_max}")
     rows = {1: np.array([1.0])}
-    for i in range(2, i_max + 1):
-        rows[i] = np.array(
-            [xi_transition_entry(params, i, j) for j in range(1, i + 1)]
-        )
+    for n in range(1, i_max):
+        prev = rows[n]
+        k = np.arange(1, n + 1)
+        row = np.zeros(n + 1)
+        row[:-1] = prev * (n - k * alpha)
+        row[1:] += prev * (theta + k * alpha)
+        rows[n + 1] = row / (theta + n)
     return RateTable(i_max=i_max, kind="probabilities", _rows=rows)
 
 
-def xi_reassembled_entry(params: Params, i: int, j: int) -> float:
-    """P_(i,j) rebuilt from per-composition merger probabilities.
+def xi_transition_matrix(params: Params, i_max: int) -> RateTable:
+    """Exact transition matrix of the discrete simultaneous-merger chain.
 
-    (1/j!) sum over compositions of multinomial(i; parts) * phi_j(parts);
-    independent of xi_transition_entry's factorization, used as a
-    consistency check.
+    P_(i,j) is the law of the number of blocks of a Poisson-Dirichlet
+    (alpha, -beta) partition of i points; alpha = 0 is the Ewens case.
     """
-    total = 0.0
-    log_i_fact = math.lgamma(i + 1)
-    for comp in _compositions(i, j):
-        log_multi = log_i_fact - sum(math.lgamma(p + 1) for p in comp)
-        total += math.exp(log_multi) * xi_merger_prob(params, comp)
-    return total / math.factorial(j)
-
-
-def stirling_triangle(i_max: int) -> list[list[int]]:
-    """Unsigned Stirling numbers of the first kind, s[i][j], exact integers."""
-    s = [[0] * (i_max + 1) for _ in range(i_max + 1)]
-    s[0][0] = 1
-    for i in range(1, i_max + 1):
-        for j in range(1, i + 1):
-            s[i][j] = s[i - 1][j - 1] + (i - 1) * s[i - 1][j]
-    return s
+    if params.regime != "xi":
+        raise ValueError("the xi transition matrix requires 0 <= alpha < 1")
+    return _pd_block_counts(params.alpha, -params.beta, i_max)
 
 
 def stirling_case_matrix(beta: float, i_max: int) -> RateTable:
@@ -371,26 +345,7 @@ def stirling_case_matrix(beta: float, i_max: int) -> RateTable:
     """
     if beta >= 0:
         raise ValueError("the alpha = 0 case requires beta < 0")
-    if not 1 <= i_max <= _I_MAX_HARD_CAP:
-        raise ValueError(f"i_max must be in 1..{_I_MAX_HARD_CAP}")
-    s = stirling_triangle(i_max)
-    rows = {}
-    for i in range(1, i_max + 1):
-        log_base = log_gamma(-beta) - log_gamma(i - beta)
-        row = np.array(
-            [
-                math.exp(
-                    log_base
-                    + j * math.log(-beta)
-                    + math.log(s[i][j])
-                )
-                if s[i][j]
-                else 0.0
-                for j in range(1, i + 1)
-            ]
-        )
-        rows[i] = row
-    return RateTable(i_max=i_max, kind="probabilities", _rows=rows)
+    return _pd_block_counts(0.0, -beta, i_max)
 
 
 # ---------------------------------------------------------------------------

@@ -37,33 +37,18 @@ class DiscreteFunctionals:
     collisions: int
 
 
-class _JumpCache:
-    """Cumulative rate rows memoized per block count."""
-
-    def __init__(self, rates):
-        self.rates = rates
-        self._cum: dict[int, np.ndarray] = {}
-
-    def cum_row(self, i: int) -> np.ndarray:
-        cum = self._cum.get(i)
-        if cum is None:
-            cum = np.cumsum(self.rates.row(i))
-            self._cum[i] = cum
-        return cum
-
-
 def simulate_lambda(
     rates,
     n0: int,
     rng: RngStream,
     max_events: int = _MAX_EVENTS,
     record_trajectory: bool = True,
-    _cache: _JumpCache | None = None,
 ) -> tuple[tuple[BlockState, ...], TreeFunctionals]:
     """One continuous-time trajectory from n0 blocks down to 1.
 
-    `rates` is any object with fields i_max, kind == "rates" and a row(i)
-    method (a materialized RateTable or LazyRateRows). Singleton blocks are
+    `rates` is any object with fields i_max, kind == "rates" and a
+    cum_row(i) method giving the cumulative rate row (a materialized
+    RateTable or LazyRateRows). Singleton blocks are
     tracked separately so external branch length is exact: the number of
     singletons joining each collision is hypergeometric among the blocks,
     which is the exchangeability-consistent allocation.
@@ -72,7 +57,6 @@ def simulate_lambda(
         raise ValueError("simulate_lambda needs a rates-kind table")
     if not 2 <= n0 <= rates.i_max:
         raise ValueError(f"need 2 <= n0 <= i_max ({rates.i_max})")
-    cache = _cache if _cache is not None else _JumpCache(rates)
     gen = rng.gen
     i = n0
     singles = n0
@@ -86,7 +70,7 @@ def simulate_lambda(
     while i > 1:
         if collisions >= max_events:
             raise RuntimeError(f"trajectory exceeded {max_events} events")
-        cum = cache.cum_row(i)
+        cum = rates.cum_row(i)
         lam = cum[-1]
         hold = gen.standard_exponential() / lam
         t += hold
@@ -271,15 +255,10 @@ def functional_scaling_report(
             samples = kingman_functionals(n0, replicas, stream)
         else:
             source = LazyRateRows(params, n0)
-            cache = _JumpCache(source)
             acc = {name: np.empty(replicas) for name in _FUNCTIONALS}
             for r in range(replicas):
                 _, fn = simulate_lambda(
-                    source,
-                    n0,
-                    stream,
-                    record_trajectory=False,
-                    _cache=cache,
+                    source, n0, stream, record_trajectory=False
                 )
                 for name in _FUNCTIONALS:
                     acc[name][r] = getattr(fn, name)

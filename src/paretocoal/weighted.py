@@ -20,7 +20,7 @@ class WeightedEstimate:
     """A ratio estimate with delta-method standard error.
 
     ess is the effective sample size (sum w)^2 / sum w^2; values far below
-    the replica count flag weight degeneracy.
+    the replica count, or a NaN, flag weight degeneracy.
     """
 
     value: float
@@ -30,7 +30,7 @@ class WeightedEstimate:
 
     @property
     def degenerate(self) -> bool:
-        return self.ess < 0.01 * self.replicas
+        return not self.ess >= 0.01 * self.replicas
 
 
 class RatioAccumulator:

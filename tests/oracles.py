@@ -5,11 +5,14 @@ rate code: gamma/beta values come from scipy, integrals from QUADPACK's
 algebraic-weight adaptive rule (quad with weight="alg"), which handles the
 endpoint singularities of beta densities natively. Integrands are written
 with expm1/log1p or explicit polynomial forms so they stay accurate where
-naive evaluation cancels.
+naive evaluation cancels. Transition-matrix entries of the discrete
+chain come from sums over compositions and, at alpha = 0, from exact
+integer Stirling numbers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +121,60 @@ def xi_merger_prob_alt(alpha: float, beta: float, composition) -> float:
         + sum(special.gammaln(p - alpha) for p in composition)
     )
     return float(np.exp(log_phi))
+
+
+def _compositions(i: int, j: int):
+    """Compositions of i into j positive parts, via j - 1 cut points."""
+    for cuts in itertools.combinations(range(1, i), j - 1):
+        bounds = (0,) + cuts + (i,)
+        yield tuple(bounds[k + 1] - bounds[k] for k in range(j))
+
+
+def xi_transition_entry_enum(alpha: float, beta: float, i: int, j: int) -> float:
+    """P_(i,j) of the Poisson-Dirichlet(alpha, theta = -beta) block count,
+    summed over all 2^(i-1) compositions of i (so keep i small).
+
+    P_(i,j) = (i!/j!) prod_(l<j) (theta + l alpha) / prod_(n<i) (theta + n)
+              * sum over compositions of prod_l g(i_l),
+    with g(m) = Gamma(m - alpha) / (Gamma(1 - alpha) m!). Written with
+    rising products so that alpha = 0 (g(m) = 1/m) needs no special case.
+    """
+    theta = -beta
+    g = [0.0, 1.0]
+    for m in range(2, i + 1):
+        g.append(g[-1] * (m - 1 - alpha) / m)
+    total = math.fsum(
+        math.prod(g[p] for p in comp) for comp in _compositions(i, j)
+    )
+    pref = math.prod(theta + l * alpha for l in range(1, j)) / math.prod(
+        theta + n for n in range(1, i)
+    )
+    return pref * math.factorial(i) / math.factorial(j) * total
+
+
+def xi_reassembled_entry(merger_prob, i: int, j: int) -> float:
+    """P_(i,j) rebuilt from per-composition merger probabilities.
+
+    (1/j!) sum over compositions of multinomial(i; parts) * phi_j(parts),
+    where merger_prob(composition) gives phi_j.
+    """
+    total = 0.0
+    for comp in _compositions(i, j):
+        multi = math.factorial(i)
+        for p in comp:
+            multi //= math.factorial(p)
+        total += multi * merger_prob(comp)
+    return total / math.factorial(j)
+
+
+def stirling_triangle(i_max: int) -> list[list[int]]:
+    """Unsigned Stirling numbers of the first kind, s[i][j], exact integers."""
+    s = [[0] * (i_max + 1) for _ in range(i_max + 1)]
+    s[0][0] = 1
+    for i in range(1, i_max + 1):
+        for j in range(1, i + 1):
+            s[i][j] = s[i - 1][j - 1] + (i - 1) * s[i - 1][j]
+    return s
 
 
 def gamma_partition_c_N_exact(theta: float, N: int) -> float:

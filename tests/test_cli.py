@@ -176,14 +176,16 @@ class TestSimulateCommand:
         assert rows[-1][1] == "1"
 
     def test_xi_trajectory(self, tmp_path):
-        rc, text = run_cli(
-            ["simulate", "--family", "xi", "--alpha", "0.5", "--N", "10",
-             "--trajectory", "--seed", "8"],
-            tmp_path,
-        )
-        assert rc == 0
-        _, rows = data_rows(text)
-        assert rows[-1][1] == "1"
+        for n0 in ("10", "1000"):
+            rc, text = run_cli(
+                ["simulate", "--family", "xi", "--alpha", "0.5", "--N", n0,
+                 "--trajectory", "--seed", "8"],
+                tmp_path,
+            )
+            assert rc == 0
+            _, rows = data_rows(text)
+            assert rows[0][1] == n0
+            assert rows[-1][1] == "1"
 
 
 class TestForwardCommand:

@@ -167,6 +167,14 @@ class TestEstimators:
             est = estimate_c_N_conditional(model, 20_000, RngStream(37))
         assert est.ess < 0.01 * est.replicas
 
+    def test_nan_ess_is_flagged_degenerate(self):
+        # At beta = 1000 the weight sums overflow; a nan ESS must still warn.
+        model = PartitionModel.pareto(2.5, 50, beta=1000)
+        with pytest.warns(RuntimeWarning, match="effective sample size"):
+            est = estimate_c_N_conditional(model, 400_000, RngStream(2013))
+        assert math.isnan(est.ess)
+        assert est.degenerate
+
 
 class TestMomentForm:
     def test_rejects_bias(self):

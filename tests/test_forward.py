@@ -51,7 +51,7 @@ class TestConfigAndState:
             assert st.log_holder_mean == pytest.approx(
                 st.log_global - math.log(64) / 1.5, abs=1e-12
             )
-        assert len(st.log_increments) == 5
+        assert st.k == 5
 
     def test_trajectory_length(self):
         cfg = ForwardConfig(N=10, alpha=1.0, generations=7)

@@ -1,15 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
     block_loss_rate_quad,
     lambda_rate_quad,
     mean_first_collision_quad,
+    stirling_triangle,
     total_rate_quad,
     xi_merger_prob_alt,
+    xi_reassembled_entry,
+    xi_transition_entry_enum,
 )
 from paretocoal.rates import (
     LazyRateRows,
@@ -24,10 +30,8 @@ from paretocoal.rates import (
     mean_first_collision_size,
     block_loss_rate,
     stirling_case_matrix,
-    stirling_triangle,
     total_rate,
     xi_merger_prob,
-    xi_reassembled_entry,
     xi_transition_matrix,
 )
 
@@ -225,15 +229,44 @@ class TestXiMatrix:
         for i in range(2, 7):
             for j in range(1, i + 1):
                 assert abs(
-                    xi_reassembled_entry(p, i, j) - m.entry(i, j)
+                    xi_reassembled_entry(
+                        lambda comp: xi_merger_prob(p, comp), i, j
+                    )
+                    - m.entry(i, j)
                 ) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 0.999),
+        gap=st.floats(1e-3, 5.0),
+        i_max=st.integers(1, 12),
+    )
+    def test_recursion_matches_composition_enumeration(self, alpha, gap, i_max):
+        # Any beta < alpha; the Poisson-Dirichlet recursion needs no
+        # composition sums, the oracle sums all 2^(i-1) of them.
+        beta = alpha - gap
+        m = xi_transition_matrix(Params(alpha, beta), i_max)
+        for i in range(1, i_max + 1):
+            for j in range(1, i + 1):
+                assert abs(
+                    m.entry(i, j) - xi_transition_entry_enum(alpha, beta, i, j)
+                ) <= 1e-13
+
+    def test_rows_sum_to_one_at_the_cap(self):
+        for a, b in [(0.5, 0.0), (0.0, -1.0), (0.9, 0.89)]:
+            m = xi_transition_matrix(Params(a, b), 2000)
+            sums = np.array([m.row(i).sum() for i in range(1, 2001)])
+            assert np.abs(sums - 1.0).max() <= 1e-12
 
     def test_near_one_alpha_rarely_merges_everything(self):
         assert xi_transition_matrix(Params(0.999, 0.0), 2).entry(2, 1) < 0.01
 
     def test_bounds(self):
+        xi_transition_matrix(Params(0.5, 0.0), 31)  # inside the cap
+        with pytest.raises(ValueError, match="2000"):
+            xi_transition_matrix(Params(0.5, 0.0), 2001)
         with pytest.raises(ValueError):
-            xi_transition_matrix(Params(0.5, 0.0), 31)
+            xi_transition_matrix(Params(0.5, 0.0), 0)
         with pytest.raises(ValueError):
             xi_transition_matrix(Params(1.5, 0.0), 5)
 
@@ -244,6 +277,24 @@ class TestStirlingCase:
         assert s[3][2] == 3
         assert s[4][2] == 11
         assert s[5][1] == 24  # (5-1)!
+
+    def test_rows_match_exact_stirling_law(self):
+        # P_(i,j) = theta^j s_(i,j) / (theta (theta+1) ... (theta+i-1)),
+        # evaluated in exact rationals for theta = -beta.
+        s = stirling_triangle(30)
+        for b in (-0.5, -1.0, -2.5):
+            theta = Fraction(-b)
+            tables = [
+                stirling_case_matrix(b, 30),
+                xi_transition_matrix(Params(0.0, b), 30),
+            ]
+            rising = Fraction(1)
+            for i in range(1, 31):
+                rising *= theta + i - 1
+                for j in range(1, i + 1):
+                    exact = float(theta**j * s[i][j] / rising)
+                    for m in tables:
+                        assert abs(m.entry(i, j) - exact) <= 1e-13 * exact
 
     def test_unit_negative_bias_pair_probability(self):
         m = stirling_case_matrix(-1.0, 5)
@@ -305,6 +356,9 @@ class TestTables:
         t = build_rate_table(p, 12)
         for i in (2, 7, 12):
             assert_allclose(lazy.row(i), t.row(i))
+            assert_allclose(lazy.cum_row(i), np.cumsum(t.row(i)))
+            assert_allclose(t.cum_row(i), np.cumsum(t.row(i)))
+        assert lazy.cum_row(7) is lazy.cum_row(7)  # built once, then kept
 
     def test_csv_contains_simple_pair_row(self):
         m = xi_transition_matrix(Params(0.5, 0.0), 2)
