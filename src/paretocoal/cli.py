@@ -26,7 +26,6 @@ from .forward import (
     trajectory,
 )
 from .rates import (
-    LazyRateRows,
     Params,
     build_rate_table,
     xi_transition_matrix,
@@ -184,8 +183,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> str:
             )
             states, _ = simulate_xi(matrix, n0, rng)
         else:
-            table = LazyRateRows(_sim_params(family, cfg), n0)
-            states, _ = simulate_lambda(table, n0, rng)
+            states, _ = simulate_lambda(_sim_params(family, cfg), n0, rng)
         return _csv("time_or_step,blocks", [(s.when, s.blocks) for s in states])
     sizes = list(cfg.N_grid) if cfg.N_grid else [_require(cfg.N, "--N")]
     replicas = cfg.replicas if cfg.replicas is not None else 1000

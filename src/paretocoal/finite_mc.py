@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import RngStream
+from .samplers import RngStream, batched
 from .weighted import RatioAccumulator, WeightedEstimate, warn_if_degenerate
-
-# Replica batches are sized so one batch holds about this many doubles.
-_BATCH_ELEMENTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -119,15 +116,6 @@ def draw_merger(
     return MergerOutcome(i=i, occupancy=occupancy, j=len(occupancy)), weight
 
 
-def _batched(replicas: int, N: int):
-    chunk = max(1, _BATCH_ELEMENTS // max(N, 1))
-    done = 0
-    while done < replicas:
-        b = min(chunk, replicas - done)
-        yield b
-        done += b
-
-
 def _distinct_counts(idx: np.ndarray) -> np.ndarray:
     """Distinct values per row of a small-width integer matrix."""
     s = np.sort(idx, axis=1)
@@ -154,22 +142,7 @@ def estimate_p_row(
     model: PartitionModel, i: int, replicas: int, rng: RngStream
 ) -> list[WeightedEstimate]:
     """Merger probabilities P_(i,j) for every j = 1..i from shared replicas."""
-    if i < 1 or i > model.N:
-        raise ValueError("need 1 <= i <= N")
-    if replicas < 2:
-        raise ValueError("replicas >= 2 required")
-    acc = RatioAccumulator(columns=i)
-    for b in _batched(replicas, model.N):
-        x = model.draw((b, model.N), rng)
-        log_w = model.beta * np.log(x.sum(axis=1))
-        u = rng.gen.random((b, i))
-        j = _distinct_counts(_segment_hits(x, u))
-        v = (j[:, None] == np.arange(1, i + 1)[None, :]).astype(float)
-        acc.add(log_w, v)
-    ests = acc.estimates()
-    for j0, est in enumerate(ests, start=1):
-        warn_if_degenerate(est, f"estimate_p_ij(i={i}, j={j0})")
-    return ests
+    return estimate_p_rows_nested(model, [i], replicas, rng)[i]
 
 
 def estimate_p_ij(
@@ -191,9 +164,15 @@ def estimate_p_rows_nested(
     correlated across rows, which sharpens ratio comparisons).
     """
     i_values = sorted(set(i_values))
+    if not i_values:
+        raise ValueError("at least one sample size i required")
+    if i_values[0] < 1 or i_values[-1] > model.N:
+        raise ValueError("need 1 <= i <= N")
+    if replicas < 2:
+        raise ValueError("replicas >= 2 required")
     i_top = i_values[-1]
     accs = {i: RatioAccumulator(columns=i) for i in i_values}
-    for b in _batched(replicas, model.N):
+    for b in batched(replicas, model.N):
         x = model.draw((b, model.N), rng)
         log_w = model.beta * np.log(x.sum(axis=1))
         u = rng.gen.random((b, i_top))
@@ -202,7 +181,11 @@ def estimate_p_rows_nested(
             j = _distinct_counts(hits[:, :i])
             v = (j[:, None] == np.arange(1, i + 1)[None, :]).astype(float)
             accs[i].add(log_w, v)
-    return {i: accs[i].estimates() for i in i_values}
+    rows = {i: accs[i].estimates() for i in i_values}
+    for i, row in rows.items():
+        for j, est in enumerate(row, start=1):
+            warn_if_degenerate(est, f"estimate_p_ij(i={i}, j={j})")
+    return rows
 
 
 def estimate_c_N(
@@ -225,7 +208,7 @@ def estimate_c_N_conditional(
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
     acc = RatioAccumulator(columns=1)
-    for b in _batched(replicas, model.N):
+    for b in batched(replicas, model.N):
         x = model.draw((b, model.N), rng)
         s = x.sum(axis=1)
         log_w = model.beta * np.log(s)
@@ -255,7 +238,7 @@ def estimate_moment_form(
     )
     big = float(math.comb(model.N, j))
     acc = RatioAccumulator(columns=1)
-    for b in _batched(replicas, model.N):
+    for b in batched(replicas, model.N):
         x = model.draw((b, model.N), rng)
         s = x.sum(axis=1)
         partial = np.cumsum(x[:, :j], axis=1) / s[:, None]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import RngStream
+from .samplers import RngStream, batched
 from .specfun import digamma, log_gamma
 from .weighted import RatioAccumulator, WeightedEstimate, mean_estimate
 
@@ -165,15 +165,11 @@ def per_step_mean_parts(
     draws, independent of the trajectory path.
     """
     sel = -digamma(config.N + 1) / config.alpha
-    vals = np.empty(replicas)
-    chunk = max(1, (1 << 24) // config.N)
-    done = 0
-    while done < replicas:
-        b = min(chunk, replicas - done)
-        y = 1.0 / rng.uniform_open((b, config.N))  # unit-Pareto variates
-        vals[done : done + b] = np.log(y.sum(axis=1)) / config.alpha
-        done += b
-    return sel, mean_estimate(vals)
+    sums = np.concatenate(
+        [(1.0 / rng.uniform_open((b, config.N))).sum(axis=1)  # unit-Pareto
+         for b in batched(replicas, config.N)]
+    )
+    return sel, mean_estimate(np.log(sums) / config.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +309,10 @@ def genealogy_c_N(
     if mode not in ("plain", "distorted"):
         raise ValueError(f"unknown mode {mode!r}")
     acc = RatioAccumulator(columns=1)
-    chunk = max(1, (1 << 24) // config.N)
-    done = 0
-    while done < replicas:
-        b = min(chunk, replicas - done)
+    for b in batched(replicas, config.N):
         x = 1.0 / rng.uniform_open((b, config.N))
         w = x if mode == "plain" else x ** (1.0 / config.alpha)
         s = w.sum(axis=1)
         v = (w * w).sum(axis=1) / (s * s)
         acc.add(beta * np.log(s), v)
-        done += b
     return acc.estimate()

@@ -161,6 +161,22 @@ def lambda_rate_moment_form(params: Params, i: int, j: int) -> float:
     return math.comb(i, j - 1) * total
 
 
+def _beta_moments(params: Params, m_max: int) -> np.ndarray:
+    """I_m = E(1-X)^m, m = 0..m_max, for X ~ beta(2-alpha, alpha-beta).
+
+    Ratio recursion I_m / I_(m-1) = (alpha-beta+m-1)/(1-beta+m), I_0 = 1.
+    Every total, block-loss and single-merger rate of the measure is a
+    partial sum of these: lambda_(i+1) = lambda_i + i I_(i-1),
+    r(i+1) = r(i) + sum_(m<i) I_m, lambda_2 = r(2) = 1, and the binary
+    rate is C(i, 2) I_(i-2).
+    """
+    _require_lambda_regime(params)
+    a, b = params.alpha, params.beta
+    m = np.arange(1, m_max + 1, dtype=float)
+    ratios = (a - b + m - 1.0) / (1.0 - b + m)
+    return np.concatenate(([1.0], np.cumprod(ratios)))
+
+
 def comes_down_diagnostic(params: Params, M: int) -> np.ndarray:
     """Partial sums of 1/r(i) for i = 2..M.
 
@@ -170,16 +186,12 @@ def comes_down_diagnostic(params: Params, M: int) -> np.ndarray:
     """
     if M < 2:
         raise ValueError("M >= 2 required")
-    inv = np.empty(M - 1)
     if params.regime in ("critical", "kingman"):
         i = np.arange(2, M + 1, dtype=float)
-        inv = 2.0 / (i * (i - 1.0))
-    else:
-        for k, i in enumerate(range(2, M + 1)):
-            row = rate_row(params, i)
-            j = np.arange(1, i)
-            inv[k] = 1.0 / float(((i - j) * row).sum())
-    return np.cumsum(inv)
+        return np.cumsum(2.0 / (i * (i - 1.0)))
+    steps = np.cumsum(_beta_moments(params, M - 2))[1:]
+    r = np.concatenate(([1.0], 1.0 + np.cumsum(steps)))
+    return np.cumsum(1.0 / r)
 
 
 @dataclass(frozen=True)
@@ -216,10 +228,6 @@ class RateTable:
     def total(self, i: int) -> float:
         return float(self.row(i).sum())
 
-    def cum_row(self, i: int) -> np.ndarray:
-        """Cumulative sums of row i, recomputed on every call."""
-        return np.cumsum(self.row(i))
-
     def to_csv(self) -> str:
         lines = ["i,j,value"]
         for i in sorted(self._rows):
@@ -234,39 +242,6 @@ def build_rate_table(params: Params, i_max: int) -> RateTable:
         raise ValueError("i_max >= 2 required")
     rows = {i: rate_row(params, i) for i in range(2, i_max + 1)}
     return RateTable(i_max=i_max, kind="rates", _rows=rows)
-
-
-class LazyRateRows:
-    """Rate rows computed on demand; duck-compatible with RateTable.
-
-    Simulation from a large initial block count touches only the states a
-    trajectory visits, so materializing the full triangle would be wasted
-    work and memory. Only the cumulative rows the simulator draws from are
-    kept, one per visited block count, and shared by every trajectory run
-    on this object.
-    """
-
-    kind = "rates"
-
-    def __init__(self, params: Params, i_max: int):
-        if i_max < 2:
-            raise ValueError("i_max >= 2 required")
-        self.params = params
-        self.i_max = i_max
-        self._cum: dict[int, np.ndarray] = {}
-
-    def row(self, i: int) -> np.ndarray:
-        if i < 2 or i > self.i_max:
-            raise ValueError(f"block count {i} outside table (i_max={self.i_max})")
-        return rate_row(self.params, i)
-
-    def cum_row(self, i: int) -> np.ndarray:
-        """Cumulative sums of row i, built on first use and kept."""
-        cum = self._cum.get(i)
-        if cum is None:
-            cum = np.cumsum(self.row(i))
-            self._cum[i] = cum
-        return cum
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,20 @@ class RngStream:
         return 1.0 - u
 
 
+# Replica batches are sized so one batch holds about this many doubles.
+_BATCH_ELEMENTS = 1 << 24
+
+
+def batched(replicas: int, N: int):
+    """Batch sizes summing to replicas, each batch about 2^24 / N rows."""
+    chunk = max(1, _BATCH_ELEMENTS // max(N, 1))
+    done = 0
+    while done < replicas:
+        b = min(chunk, replicas - done)
+        yield b
+        done += b
+
+
 def pareto_sample(alpha: float, rng: RngStream, size=None):
     """Pareto(alpha) variates on [1, inf) with tail P(X > x) = x^-alpha.
 
@@ -157,14 +171,10 @@ def standardized_sum_stats(
     consts = gclt_constants(alpha, N)
     if not consts.b_N > 0:
         raise ValueError(f"degenerate scaling b_N={consts.b_N} at N={N}")
-    sums = np.empty(replicas)
-    chunk = max(1, int(2**24 // max(N, 1)))
-    done = 0
-    while done < replicas:
-        b = min(chunk, replicas - done)
-        x = pareto_sample(alpha, rng, size=(b, N))
-        sums[done : done + b] = x.sum(axis=1)
-        done += b
+    sums = np.concatenate(
+        [pareto_sample(alpha, rng, size=(b, N)).sum(axis=1)
+         for b in batched(replicas, N)]
+    )
     z = (sums - consts.a_N) / consts.b_N
     qs = {q: float(v) for q, v in zip(_QUANTILES, np.quantile(z, _QUANTILES))}
     return SumStats(

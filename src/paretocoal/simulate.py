@@ -1,11 +1,12 @@
 """Simulation of the limiting coalescents and their tree functionals.
 
 The continuous-time multiple-merger process is simulated at block-count
-level from a rate table (holding time exponential in the total rate, jump
-target drawn from the row); the discrete simultaneous-merger chain is
-sampled row-wise from its exact transition matrix. Alongside the block
-trajectory we accumulate tree height, total and external branch length,
-collision count, and the length of one tagged external branch.
+level from ratio recursions of its rates (holding time exponential in the
+total rate, merger size drawn by an inverse-CDF scan); the discrete
+simultaneous-merger chain is sampled row-wise from its exact transition
+matrix. Alongside the block trajectory we accumulate tree height, total
+and external branch length, collision count, and the length of one tagged
+external branch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_mc import BlockState
-from .rates import LazyRateRows, Params
+from .rates import Params, _beta_moments
 from .samplers import RngStream
 
 _MAX_EVENTS = 10_000_000
@@ -37,8 +38,46 @@ class DiscreteFunctionals:
     collisions: int
 
 
+def _jump_rates(params: Params, n0: int) -> tuple[memoryview, memoryview]:
+    """Total rates lambda_i and binary-merger rates lambda_(i,2), i <= n0.
+
+    Index i holds block count i (entries 0 and 1 are unused); both come
+    from partial sums of rates._beta_moments, so no rate row is built.
+    Memoryviews index to plain floats without a per-entry object.
+    """
+    i = np.arange(n0 + 1, dtype=float)
+    if params.regime in ("critical", "kingman"):
+        pairs = memoryview(i * (i - 1.0) / 2.0)
+        return pairs, pairs
+    moments = _beta_moments(params, n0 - 2)
+    total = np.ones(n0 + 1)
+    total[3:] += np.cumsum(i[2:-1] * moments[1:])
+    binary = np.zeros(n0 + 1)
+    binary[2:] = i[2:] * (i[2:] - 1.0) / 2.0 * moments
+    return memoryview(total), memoryview(binary)
+
+
+def _merger_size(
+    i: int, first: float, target: float, a: float, ab: float
+) -> int:
+    """Smallest k whose rates lambda_(i,2..k) sum to at least target.
+
+    Scans k = 2, 3, .. with lambda_(i,k+1)/lambda_(i,k) =
+    (i-k)(k-alpha) / ((k+1)(i-k-1+alpha-beta)), ab = alpha - beta; a
+    rounding shortfall at the top stops at k = i.
+    """
+    k = 2
+    term = first
+    acc = first
+    while acc < target and k < i:
+        term *= (i - k) * (k - a) / ((k + 1) * (i - k - 1 + ab))
+        acc += term
+        k += 1
+    return k
+
+
 def simulate_lambda(
-    rates,
+    params: Params,
     n0: int,
     rng: RngStream,
     max_events: int = _MAX_EVENTS,
@@ -46,17 +85,20 @@ def simulate_lambda(
 ) -> tuple[tuple[BlockState, ...], TreeFunctionals]:
     """One continuous-time trajectory from n0 blocks down to 1.
 
-    `rates` is any object with fields i_max, kind == "rates" and a
-    cum_row(i) method giving the cumulative rate row (a materialized
-    RateTable or LazyRateRows). Singleton blocks are
-    tracked separately so external branch length is exact: the number of
-    singletons joining each collision is hypergeometric among the blocks,
-    which is the exchangeability-consistent allocation.
+    params picks the beta(2-alpha, alpha-beta) multiple-merger rates
+    (alpha in [1, 2)) or binary mergers (alpha >= 2). The merger size is
+    drawn by inverse CDF from the ratio recursion of _merger_size, so the
+    work per event is O(merger size) and no rate row is kept. Singleton
+    blocks are tracked separately so external branch length is exact: the
+    number of singletons joining each collision is hypergeometric among
+    the blocks, which is the exchangeability-consistent allocation.
     """
-    if rates.kind != "rates":
-        raise ValueError("simulate_lambda needs a rates-kind table")
-    if not 2 <= n0 <= rates.i_max:
-        raise ValueError(f"need 2 <= n0 <= i_max ({rates.i_max})")
+    if params.regime == "xi":
+        raise ValueError("simulate_lambda needs alpha >= 1 (xi regime given)")
+    if n0 < 2:
+        raise ValueError("n0 >= 2 required")
+    total, binary = _jump_rates(params, n0)
+    a, ab = params.alpha, params.alpha - params.beta
     gen = rng.gen
     i = n0
     singles = n0
@@ -70,22 +112,22 @@ def simulate_lambda(
     while i > 1:
         if collisions >= max_events:
             raise RuntimeError(f"trajectory exceeded {max_events} events")
-        cum = rates.cum_row(i)
-        lam = cum[-1]
+        lam = total[i]
         hold = gen.standard_exponential() / lam
         t += hold
         total_len += i * hold
         ext_len += singles * hold
         if tagged_alive:
             tagged_len += hold
-        j = int(np.searchsorted(cum, gen.random() * lam, side="right")) + 1
-        j = min(j, i - 1)  # guard the rounding edge u*lam == cum[-1]
-        k = i - j + 1  # blocks taking part in the collision
+        # The complemented uniform scans from the binary end of the row;
+        # with binary mergers only, binary[i] == lam stops the scan at k = 2.
+        target = (1.0 - gen.random()) * lam
+        k = _merger_size(i, binary[i], target, a, ab)
         m = int(gen.hypergeometric(singles, i - singles, k)) if singles else 0
         if tagged_alive and m and gen.random() * singles < m:
             tagged_alive = False
         singles -= m
-        i = j
+        i -= k - 1
         collisions += 1
         if record_trajectory:
             states.append(BlockState(t, i))
@@ -254,11 +296,10 @@ def functional_scaling_report(
         if family == "kingman":
             samples = kingman_functionals(n0, replicas, stream)
         else:
-            source = LazyRateRows(params, n0)
             acc = {name: np.empty(replicas) for name in _FUNCTIONALS}
             for r in range(replicas):
                 _, fn = simulate_lambda(
-                    source, n0, stream, record_trajectory=False
+                    params, n0, stream, record_trajectory=False
                 )
                 for name in _FUNCTIONALS:
                     acc[name][r] = getattr(fn, name)

@@ -197,3 +197,59 @@ def kingman_tagged_branch_exact(i: int) -> float:
     for m in range(3, i + 1):
         val = 1.0 / (m * (m - 1) / 2.0) + ((m - 2.0) / m) * val
     return val
+
+
+def lambda_row_betaln(alpha: float, beta: float, i: int) -> np.ndarray:
+    """lambda_(i, j), j = 1..i-1, from scipy's betaln and gammaln.
+
+    An i -> j merger joins k = i - j + 1 blocks at rate
+    C(i, k) B(k - alpha, alpha - beta + i - k) / B(2 - alpha, alpha - beta).
+    """
+    k = i - np.arange(1, i) + 1.0
+    log_r = (
+        special.gammaln(i + 1.0)
+        - special.gammaln(k + 1.0)
+        - special.gammaln(i - k + 1.0)
+        + special.betaln(k - alpha, alpha - beta + i - k)
+        - special.betaln(2.0 - alpha, alpha - beta)
+    )
+    return np.exp(log_r)
+
+
+def kingman_row(i: int) -> np.ndarray:
+    """Binary-merger rates lambda_(i, j), j = 1..i-1."""
+    row = np.zeros(i - 1)
+    row[-1] = i * (i - 1) / 2.0
+    return row
+
+
+def first_step_means(row, n0: int) -> dict:
+    """Exact mean tree functionals from n0 blocks by first-step analysis.
+
+    row(i) gives the rates lambda_(i, j), j = 1..i-1; from i the chain
+    waits an exponential time of rate lambda_i and moves to j with
+    probability lambda_(i,j)/lambda_i, merging k = i - j + 1 blocks:
+    height h(i) = 1/lambda_i + sum_j p_ij h(j), total length
+    L(i) = i/lambda_i + sum_j p_ij L(j), collisions C(i) = 1 + sum_j p_ij C(j),
+    and a tagged singleton, hit by the merger with probability k/i, keeps
+    its external branch for g(i) = 1/lambda_i + sum_j p_ij (1 - k/i) g(j).
+    All vanish at i = 1. By exchangeability the external length has mean
+    n0 g(n0).
+    """
+    h, tot, col, tag = (np.zeros(n0 + 1) for _ in range(4))
+    for i in range(2, n0 + 1):
+        rates = row(i)
+        lam = math.fsum(rates)
+        p = rates / lam
+        j = np.arange(1, i)
+        h[i] = 1.0 / lam + float(p @ h[1:i])
+        tot[i] = i / lam + float(p @ tot[1:i])
+        col[i] = 1.0 + float(p @ col[1:i])
+        tag[i] = 1.0 / lam + float((p * (j - 1.0) / i) @ tag[1:i])
+    return {
+        "height": h[n0],
+        "total_length": tot[n0],
+        "collisions": col[n0],
+        "random_external_branch": tag[n0],
+        "external_length": n0 * tag[n0],
+    }

@@ -41,7 +41,6 @@ from paretocoal.forward import (
     speed_estimate,
 )
 from paretocoal.rates import (
-    LazyRateRows,
     Params,
     block_loss_rate,
     lambda_rate,
@@ -288,11 +287,12 @@ class TestCriterion06KingmanFunctionals:
         se = height.std(ddof=1) / math.sqrt(reps)
         height_ok = abs(height.mean() - 1.9) < 3 * se
         collisions_ok = bool(np.all(h["collisions"] == 19))
-        table = LazyRateRows(Params(3.0, 0.0), 25)
         rng = RngStream(106, 2)
         for n0 in (5, 12, 20):
             for _ in range(30):
-                _, fn = simulate_lambda(table, n0, rng, record_trajectory=False)
+                _, fn = simulate_lambda(
+                    Params(3.0, 0.0), n0, rng, record_trajectory=False
+                )
                 collisions_ok = collisions_ok and fn.collisions == n0 - 1
         ext = kingman_functionals(100, reps, RngStream(106, 3))["external_length"]
         ext_ok = abs(ext.mean() - 2.0) / 2.0 < 0.15
@@ -310,11 +310,10 @@ class TestCriterion07LogFamilyTrends:
         params = Params(1.0, 0.0)
         ratios = {}
         for n0, reps, salt in ((1000, 400, 1), (10_000, 250, 2)):
-            source = LazyRateRows(params, n0)
             rng = RngStream(107, salt)
             cs = np.empty(reps)
             for r in range(reps):
-                _, fn = simulate_lambda(source, n0, rng, record_trajectory=False)
+                _, fn = simulate_lambda(params, n0, rng, record_trajectory=False)
                 cs[r] = fn.collisions
             ratios[n0] = cs.mean() / (n0 / math.log(n0))
         in_band = all(0.6 < v < 1.4 for v in ratios.values())

@@ -160,6 +160,15 @@ class TestEstimators:
             a, b = nested[4][j - 1], plain[j - 1]
             assert abs(a.value - b.value) < 3 * combined_se(a, b)
 
+    def test_nested_rows_validate_like_plain_rows(self):
+        model = PartitionModel.pareto(1.5, 5)
+        for i_values, replicas in (([7], 100), ([0, 2], 100), ([], 100), ([2], 1)):
+            with pytest.raises(ValueError):
+                estimate_p_rows_nested(model, i_values, replicas, RngStream(1))
+        biased = PartitionModel.pareto(0.5, 500, beta=0.45)
+        with pytest.warns(RuntimeWarning, match="effective sample size"):
+            estimate_p_rows_nested(biased, [2, 3], 20_000, RngStream(37))
+
     def test_degenerate_weights_flagged(self):
         # bias close to the tail index: the weight moment barely exists
         model = PartitionModel.pareto(0.5, 500, beta=0.45)

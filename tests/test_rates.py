@@ -18,8 +18,8 @@ from oracles import (
     xi_transition_entry_enum,
 )
 from paretocoal.rates import (
-    LazyRateRows,
     Params,
+    _beta_moments,
     build_rate_table,
     c_N_asymptotic,
     comes_down_diagnostic,
@@ -29,11 +29,13 @@ from paretocoal.rates import (
     lambda_row,
     mean_first_collision_size,
     block_loss_rate,
+    rate_row,
     stirling_case_matrix,
     total_rate,
     xi_merger_prob,
     xi_transition_matrix,
 )
+from paretocoal.simulate import _jump_rates
 
 PAIRS = [(1.0, 0.0), (1.0, -1.0), (1.25, 0.0), (1.5, 0.75), (1.5, -2.0), (1.75, 0.0)]
 
@@ -152,6 +154,13 @@ class TestTotalsAndLossRates:
 
 
 class TestComesDown:
+    def test_increments_match_quadrature(self):
+        for a, b in PAIRS:
+            inc = np.diff(comes_down_diagnostic(Params(a, b), 10), prepend=0.0)
+            for i in range(2, 11):
+                want = 1.0 / block_loss_rate_quad(a, b, i)
+                assert inc[i - 2] == pytest.approx(want, rel=1e-9)
+
     def test_kingman_telescopes(self):
         sums = comes_down_diagnostic(Params(3.0, 0.0), 1000)
         assert sums[-1] == pytest.approx(2.0 * (1.0 - 1.0 / 1000.0))
@@ -175,6 +184,56 @@ class TestComesDown:
         cinc_23 = conv[1000 - 2] - conv[100 - 2]
         cinc_34 = conv[10_000 - 2] - conv[1000 - 2]
         assert cinc_34 < 0.5 * cinc_23
+
+
+class TestRatioRecursion:
+    # Partial sums of I_m = E(1-X)^m, X ~ beta(2-alpha, alpha-beta), against
+    # sums of the Lanczos-evaluated rows; with k = i - j + 1 merging blocks,
+    # lambda_(i,k) is the row's entry j.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 1.999),
+        gap=st.floats(1e-3, 5.0),
+        i=st.integers(2, 400),
+    )
+    def test_partial_sums_match_rows(self, alpha, gap, i):
+        a, b = alpha, alpha - gap
+        p = Params(a, b)
+        moments = _beta_moments(p, i)
+        row = lambda_row(p, i)
+        k = i - np.arange(1, i) + 1.0
+        total = 1.0 + math.fsum(m * moments[m - 1] for m in range(2, i))
+        loss = 1.0 + math.fsum(math.fsum(moments[:n]) for n in range(2, i))
+        assert total == pytest.approx(math.fsum(row), rel=1e-11)
+        assert i * (i - 1) / 2.0 * moments[i - 2] == pytest.approx(row[-1], rel=1e-11)
+        assert loss == pytest.approx(math.fsum((k - 1.0) * row), rel=1e-11)
+        sim_total, sim_binary = _jump_rates(p, i)
+        assert sim_total[i] == pytest.approx(total, rel=1e-13)
+        assert sim_binary[i] == pytest.approx(row[-1], rel=1e-11)
+        # lambda_(i,k+1)/lambda_(i,k) = (i-k)(k-alpha) / ((k+1)(i-k-1+alpha-beta))
+        kk = k[1:]  # k = 2..i-1 paired with k + 1
+        ratio = (i - kk) * (kk - a) / ((kk + 1) * (i - kk - 1 + a - b))
+        assert_allclose(row[:-1] / row[1:], ratio, rtol=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 1.999),
+        gap=st.floats(1e-3, 5.0),
+        b=st.integers(2, 400),
+    )
+    def test_pitman_consistency(self, alpha, gap, b):
+        # Pitman (1999): lambda_(b,k) = lambda_(b+1,k) + lambda_(b+1,k+1) for
+        # the rate of one given k-tuple, i.e. the rate over C(b, k).
+        p = Params(alpha, alpha - gap)
+
+        def per_tuple(n):
+            k = n - np.arange(1, n) + 1
+            return lambda_row(p, n) / np.array([float(math.comb(n, int(c))) for c in k])
+
+        lo, hi = per_tuple(b), per_tuple(b + 1)
+        # entry j of row b joins k = b - j + 1 blocks; in row b+1 that k
+        # sits at j + 1 and k + 1 at j
+        assert_allclose(lo, hi[1:] + hi[:-1], rtol=1e-11)
 
 
 class TestXiMatrix:
@@ -351,14 +410,15 @@ class TestTables:
         assert t.total(5) == pytest.approx(total_rate(p, 5))
 
     def test_lazy_rows_match(self):
-        p = Params(1.25, -0.5)
-        lazy = LazyRateRows(p, 12)
-        t = build_rate_table(p, 12)
-        for i in (2, 7, 12):
-            assert_allclose(lazy.row(i), t.row(i))
-            assert_allclose(lazy.cum_row(i), np.cumsum(t.row(i)))
-            assert_allclose(t.cum_row(i), np.cumsum(t.row(i)))
-        assert lazy.cum_row(7) is lazy.cum_row(7)  # built once, then kept
+        # The simulator's recursion-built totals and binary rates agree
+        # with the materialized table, in both rate regimes.
+        for p in (Params(1.25, -0.5), Params(3.0, 0.0)):
+            t = build_rate_table(p, 12)
+            total, binary = _jump_rates(p, 12)
+            for i in (2, 7, 12):
+                assert_allclose(rate_row(p, i), t.row(i))
+                assert_allclose(total[i], t.total(i), rtol=1e-13)
+                assert_allclose(binary[i], t.entry(i, i - 1), rtol=1e-13)
 
     def test_csv_contains_simple_pair_row(self):
         m = xi_transition_matrix(Params(0.5, 0.0), 2)
