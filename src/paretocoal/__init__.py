@@ -12,12 +12,9 @@ __version__ = "0.1.0"
 from .finite_mc import (
     BlockState,
     DiscreteTrajectory,
-    MergerOutcome,
     PartitionModel,
-    draw_merger,
     estimate_c_N,
     estimate_c_N_conditional,
-    estimate_moment_form,
     estimate_p_ij,
     estimate_p_row,
     estimate_p_rows_nested,
@@ -26,9 +23,7 @@ from .finite_mc import (
 from .forward import (
     ForwardConfig,
     ForwardState,
-    ancestor_sampling_probs,
     fittest_stats,
-    genealogy_c_N,
     initial_state,
     legendre,
     pressure,
@@ -45,12 +40,10 @@ from .rates import (
     comes_down_diagnostic,
     kingman_rate,
     lambda_rate,
-    lambda_rate_moment_form,
     lambda_row,
     mean_first_collision_size,
     stirling_case_matrix,
     total_rate,
-    xi_merger_prob,
     xi_transition_matrix,
 )
 from .regression import ScalingFit, ScalingPoint, fit_c_N_scaling
@@ -59,7 +52,6 @@ from .samplers import (
     RngStream,
     SumStats,
     frechet_sample,
-    gamma_sample,
     gclt_constants,
     pareto_sample,
     poisson_arrivals,
@@ -83,7 +75,6 @@ __all__ = [
     "ForwardConfig",
     "ForwardState",
     "GcltConstants",
-    "MergerOutcome",
     "Params",
     "PartitionModel",
     "RateTable",
@@ -93,15 +84,12 @@ __all__ = [
     "SumStats",
     "TreeFunctionals",
     "WeightedEstimate",
-    "ancestor_sampling_probs",
     "block_loss_rate",
     "build_rate_table",
     "c_N_asymptotic",
     "comes_down_diagnostic",
-    "draw_merger",
     "estimate_c_N",
     "estimate_c_N_conditional",
-    "estimate_moment_form",
     "estimate_p_ij",
     "estimate_p_row",
     "estimate_p_rows_nested",
@@ -109,14 +97,11 @@ __all__ = [
     "fittest_stats",
     "frechet_sample",
     "functional_scaling_report",
-    "gamma_sample",
     "gclt_constants",
-    "genealogy_c_N",
     "initial_state",
     "kingman_functionals",
     "kingman_rate",
     "lambda_rate",
-    "lambda_rate_moment_form",
     "lambda_row",
     "legendre",
     "mean_first_collision_size",
@@ -132,6 +117,5 @@ __all__ = [
     "stirling_case_matrix",
     "total_rate",
     "trajectory",
-    "xi_merger_prob",
     "xi_transition_matrix",
 ]

@@ -9,13 +9,12 @@ importance sampling, so no closed form for the weight normalizer is needed.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import RngStream, batched
+from .samplers import RngStream, batched, pareto_sample
 from .weighted import RatioAccumulator, WeightedEstimate, warn_if_degenerate
 
 
@@ -67,18 +66,8 @@ class PartitionModel:
 
     def draw(self, shape, rng: RngStream) -> np.ndarray:
         if self.family == "pareto":
-            u = rng.uniform_open(shape)
-            return u ** (-1.0 / self.alpha)
+            return pareto_sample(self.alpha, rng, shape)
         return rng.gen.gamma(self.theta, size=shape)
-
-
-@dataclass(frozen=True)
-class MergerOutcome:
-    """Occupancy of one i-sample: counts per hit segment, j = distinct hits."""
-
-    i: int
-    occupancy: tuple[int, ...]
-    j: int
 
 
 @dataclass(frozen=True)
@@ -97,23 +86,6 @@ class DiscreteTrajectory:
     @property
     def steps(self) -> int:
         return len(self.states) - 1
-
-
-def draw_merger(
-    model: PartitionModel, i: int, rng: RngStream
-) -> tuple[MergerOutcome, float]:
-    """One replica: fresh partition, i uniforms, occupancy and its weight."""
-    if i < 1:
-        raise ValueError("sample size i >= 1 required")
-    x = model.draw(model.N, rng)
-    total = x.sum()
-    cum = np.cumsum(x)
-    u = rng.gen.random(i) * total
-    idx = np.searchsorted(cum, u, side="left")
-    _, counts = np.unique(idx, return_counts=True)
-    occupancy = tuple(sorted(counts.tolist(), reverse=True))
-    weight = float(total**model.beta)
-    return MergerOutcome(i=i, occupancy=occupancy, j=len(occupancy)), weight
 
 
 def _distinct_counts(idx: np.ndarray) -> np.ndarray:
@@ -216,42 +188,6 @@ def estimate_c_N_conditional(
         acc.add(log_w, v)
     est = acc.estimate()
     warn_if_degenerate(est, "estimate_c_N_conditional")
-    return est
-
-
-def estimate_moment_form(
-    model: PartitionModel, i: int, j: int, replicas: int, rng: RngStream
-) -> WeightedEstimate:
-    """P_(i,j) through the alternating sum of partial-segment moments.
-
-    Evaluates C(N,j) * sum_l (-1)^(j-l) C(j,l) E((S_1+..+S_l)^i) by Monte
-    Carlo; an independent cross-check of the occupancy estimator. Only the
-    plain (beta = 0) form is supported and the alternating sum limits the
-    usable range to small i and j.
-    """
-    if model.beta != 0.0:
-        raise ValueError("moment-form estimator requires beta = 0")
-    if not 1 <= j <= i <= 8:
-        raise ValueError("need 1 <= j <= i <= 8")
-    coef = np.array(
-        [(-1.0) ** (j - l) * math.comb(j, l) for l in range(1, j + 1)]
-    )
-    big = float(math.comb(model.N, j))
-    acc = RatioAccumulator(columns=1)
-    for b in batched(replicas, model.N):
-        x = model.draw((b, model.N), rng)
-        s = x.sum(axis=1)
-        partial = np.cumsum(x[:, :j], axis=1) / s[:, None]
-        v = big * (partial**i @ coef)
-        acc.add(np.zeros(b), v)
-    est = acc.estimate()
-    if est.stderr > max(abs(est.value), 1e-300):
-        warnings.warn(
-            "moment-form estimate noisier than its own value; the "
-            "alternating sum is cancelling badly",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return est
 
 

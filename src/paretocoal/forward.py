@@ -7,7 +7,7 @@ sufficient statistic, the global equivalent fitness (sum of fitness^alpha)
 ^(1/alpha). One generation multiplies it by tau_(N+1)^(-1/alpha) times the
 alpha-norm of N fresh Pareto(alpha) draws, all of which we carry in log
 space. The selected fitnesses themselves are recoverable from the arrival
-times, which is what the explicit mode and the genealogy samplers use.
+times, which is what the explicit mode materializes.
 """
 
 from __future__ import annotations
@@ -17,9 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import RngStream, batched
-from .specfun import digamma, log_gamma
-from .weighted import RatioAccumulator, WeightedEstimate, mean_estimate
+from .samplers import (
+    RngStream,
+    batched,
+    frechet_sample,
+    pareto_sample,
+    poisson_arrivals,
+)
+from .specfun import digamma
+from .weighted import WeightedEstimate, mean_estimate
+
+_LOG_MAX_DOUBLE = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -86,14 +94,14 @@ def _one_generation(config: ForwardConfig, rng: RngStream):
     ln(sum tau_n^-1)/alpha, n <= N, updates the global fitness; pathwise it
     equals the recursion through tau_(N+1) and N unit-Pareto draws.
     """
-    tau = np.cumsum(rng.gen.standard_exponential(config.N + 1))
+    tau = poisson_arrivals(config.N + 1, rng)
     incr = math.log(np.reciprocal(tau[:-1]).sum()) / config.alpha
     return incr, math.log(tau[0]), tau
 
 
-def step(state: ForwardState, config: ForwardConfig, rng: RngStream) -> ForwardState:
-    """Advance one generation; overflow-proof because only logs move."""
-    incr, log_tau1, _ = _one_generation(config, rng)
+def _next_state(
+    state: ForwardState, config: ForwardConfig, incr: float, log_tau1: float
+) -> ForwardState:
     log_global = state.log_global + incr
     return ForwardState(
         k=state.k + 1,
@@ -101,6 +109,12 @@ def step(state: ForwardState, config: ForwardConfig, rng: RngStream) -> ForwardS
         log_holder_mean=log_global - math.log(config.N) / config.alpha,
         log_fittest=state.log_global - log_tau1 / config.alpha,
     )
+
+
+def step(state: ForwardState, config: ForwardConfig, rng: RngStream) -> ForwardState:
+    """Advance one generation; overflow-proof because only logs move."""
+    incr, log_tau1, _ = _one_generation(config, rng)
+    return _next_state(state, config, incr, log_tau1)
 
 
 def trajectory(config: ForwardConfig, rng: RngStream) -> list[ForwardState]:
@@ -117,18 +131,17 @@ def explicit_fitnesses(
 
     The returned vector is decreasing: fitness n is exp(log_global) times
     tau_n^(-1/alpha). Shares the draws with step(), so summaries recomputed
-    from the vector coincide pathwise with the log-space recursion.
+    from the vector coincide pathwise with the log-space recursion. Raises
+    OverflowError once the top fitness passes the largest double.
     """
     incr, log_tau1, tau = _one_generation(config, rng)
-    fit = np.exp(state.log_global - np.log(tau[:-1]) / config.alpha)
-    log_global = state.log_global + incr
-    new = ForwardState(
-        k=state.k + 1,
-        log_global=log_global,
-        log_holder_mean=log_global - math.log(config.N) / config.alpha,
-        log_fittest=state.log_global - log_tau1 / config.alpha,
-    )
-    return new, fit
+    log_fit = state.log_global - np.log(tau[:-1]) / config.alpha
+    if log_fit[0] > _LOG_MAX_DOUBLE:
+        raise OverflowError(
+            f"log fitness {log_fit[0]:.1f} at generation {state.k + 1} exceeds "
+            f"ln(max double) = {_LOG_MAX_DOUBLE:.1f}; step() stays in log space"
+        )
+    return _next_state(state, config, incr, log_tau1), np.exp(log_fit)
 
 
 def increments(config: ForwardConfig, rng: RngStream) -> np.ndarray:
@@ -164,9 +177,11 @@ def per_step_mean_parts(
     Carlo estimate of E(ln sum X_n^alpha)/alpha from fresh unit-Pareto
     draws, independent of the trajectory path.
     """
+    if replicas < 2:
+        raise ValueError(f"replicas >= 2 required, got {replicas}")
     sel = -digamma(config.N + 1) / config.alpha
     sums = np.concatenate(
-        [(1.0 / rng.uniform_open((b, config.N))).sum(axis=1)  # unit-Pareto
+        [pareto_sample(1.0, rng, (b, config.N)).sum(axis=1)
          for b in batched(replicas, config.N)]
     )
     return sel, mean_estimate(np.log(sums) / config.alpha)
@@ -233,7 +248,7 @@ def legendre(alpha: float, N: int, a: float, tol: float = 1e-8) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fittest individual and genealogy sampling
+# Fittest individual
 
 
 @dataclass(frozen=True)
@@ -255,64 +270,9 @@ def fittest_stats(
     as ratio = tau_1^(-1/alpha). The mean is only reported for alpha > 1
     (it is infinite otherwise).
     """
-    tau1 = rng.gen.standard_exponential(replicas)
-    ratio = tau1 ** (-1.0 / config.alpha)
+    ratio = frechet_sample(config.alpha, rng, replicas)
     med = float(np.median(ratio))
     if config.alpha > 1.0:
         est = mean_estimate(ratio)
         return FittestStats(replicas, med, est.value, est.stderr)
     return FittestStats(replicas, med, None, None)
-
-
-def expected_mean_ratio(alpha: float) -> float:
-    """Gamma(1 - 1/alpha), the exact conditional mean ratio for alpha > 1."""
-    if alpha <= 1.0:
-        raise ValueError("mean ratio is finite only for alpha > 1")
-    return math.exp(log_gamma(1.0 - 1.0 / alpha))
-
-
-def ancestor_sampling_probs(
-    config: ForwardConfig, mode: str, rng: RngStream
-) -> np.ndarray:
-    """Probabilities that a child descends from each of the N parents.
-
-    mode "plain" reads the offspring intensity directly: weights are the
-    parents' fitness^alpha, which one generation of the recursion reduces
-    to normalized unit-Pareto variables, independent of alpha. mode
-    "distorted" reads the image intensity under the output map x ^ alpha:
-    weights are the fitnesses themselves, i.e. normalized Pareto(alpha).
-    """
-    x = 1.0 / rng.uniform_open(config.N)  # unit-Pareto
-    if mode == "plain":
-        w = x
-    elif mode == "distorted":
-        w = x ** (1.0 / config.alpha)  # Pareto(alpha) variates
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return w / w.sum()
-
-
-def genealogy_c_N(
-    config: ForwardConfig,
-    mode: str,
-    replicas: int,
-    rng: RngStream,
-    beta: float = 0.0,
-) -> WeightedEstimate:
-    """Coalescence probability of the genealogy under one sampling mode.
-
-    Two children share a parent with conditional probability sum p_n^2
-    given the per-parent sampling vector p; averaging over generations
-    (optionally size-biased by the beta-th power of the unnormalized total)
-    gives c_N for the matching normalized-segment model.
-    """
-    if mode not in ("plain", "distorted"):
-        raise ValueError(f"unknown mode {mode!r}")
-    acc = RatioAccumulator(columns=1)
-    for b in batched(replicas, config.N):
-        x = 1.0 / rng.uniform_open((b, config.N))
-        w = x if mode == "plain" else x ** (1.0 / config.alpha)
-        s = w.sum(axis=1)
-        v = (w * w).sum(axis=1) / (s * s)
-        acc.add(beta * np.log(s), v)
-    return acc.estimate()

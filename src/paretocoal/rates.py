@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import log_beta, log_binomial, log_gamma
+# bench/tracing.py wraps rates.log_gamma by name, so the import stays.
+from .specfun import log_beta, log_binomial, log_gamma  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -138,29 +139,6 @@ def mean_first_collision_size(params: Params, i: int) -> float:
     return float(1.0 + ((i - j) * row).sum() / lam)
 
 
-def lambda_rate_moment_form(params: Params, i: int, j: int) -> float:
-    """lambda_(i,j) rebuilt from the one-merger moments q_l = lambda_(l,1).
-
-    Expanding the (1-u)^(j-1) factor of the rate integral binomially gives
-    lambda_(i,j) = C(i, j-1) sum_{l=0}^{j-1} (-1)^l C(j-1, l) q_(i-j+1+l);
-    an independent algebraic route used to cross-check lambda_rate. The
-    alternating sum cancels, so expect absolute (not relative) accuracy.
-    """
-    _require_lambda_regime(params)
-    if i < 2 or not 1 <= j < i:
-        raise ValueError("need i >= 2 and 1 <= j < i")
-    a, b = params.alpha, params.beta
-    denom = log_beta(2 - a, a - b)
-
-    def q(m: int) -> float:
-        return math.exp(log_beta(m - a, a - b) - denom)
-
-    total = math.fsum(
-        (-1.0) ** l * math.comb(j - 1, l) * q(i - j + 1 + l) for l in range(j)
-    )
-    return math.comb(i, j - 1) * total
-
-
 def _beta_moments(params: Params, m_max: int) -> np.ndarray:
     """I_m = E(1-X)^m, m = 0..m_max, for X ~ beta(2-alpha, alpha-beta).
 
@@ -248,36 +226,6 @@ def build_rate_table(params: Params, i_max: int) -> RateTable:
 # Discrete-time simultaneous-merger matrix, alpha in [0, 1)
 
 _I_MAX_HARD_CAP = 2000  # the table holds i_max^2 / 2 doubles
-
-
-def _require_xi(params: Params) -> None:
-    if not 0.0 < params.alpha < 1.0:
-        raise ValueError("xi-regime operations require 0 < alpha < 1")
-
-
-def _xi_log_prefactor(params: Params, i: int, j: int) -> float:
-    a, b = params.alpha, params.beta
-    return (
-        (j - 1) * math.log(a)
-        + log_gamma(1 - b)
-        - log_gamma(1 - b / a)
-        + log_gamma(j - b / a)
-        - log_gamma(i - b)
-    )
-
-
-def xi_merger_prob(params: Params, composition: tuple[int, ...]) -> float:
-    """Probability of the specific (i_1,..,i_j)-merger, parts >= 1."""
-    _require_xi(params)
-    if len(composition) == 0 or any(p < 1 for p in composition):
-        raise ValueError("composition parts must be >= 1")
-    a = params.alpha
-    i = sum(composition)
-    j = len(composition)
-    log_phi = _xi_log_prefactor(params, i, j) + sum(
-        log_gamma(p - a) - log_gamma(1 - a) for p in composition
-    )
-    return float(math.exp(log_phi))
 
 
 def _pd_block_counts(alpha: float, theta: float, i_max: int) -> RateTable:

@@ -73,13 +73,6 @@ def pareto_sample(alpha: float, rng: RngStream, size=None):
     return rng.uniform_open(size) ** (-1.0 / alpha)
 
 
-def gamma_sample(theta: float, rng: RngStream, size=None):
-    """gamma(theta) variates with unit scale."""
-    if theta <= 0:
-        raise ValueError("gamma_sample requires theta > 0")
-    return rng.gen.gamma(theta, size=size)
-
-
 def poisson_arrivals(count: int, rng: RngStream) -> np.ndarray:
     """First `count` arrival times of a unit-rate Poisson process.
 
@@ -87,7 +80,7 @@ def poisson_arrivals(count: int, rng: RngStream) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("poisson_arrivals requires count >= 1")
-    return np.cumsum(rng.gen.standard_exponential(count))
+    return rng.gen.standard_exponential(count).cumsum()
 
 
 def frechet_sample(alpha: float, rng: RngStream, size=None):

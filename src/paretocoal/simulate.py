@@ -19,6 +19,7 @@ import numpy as np
 from .finite_mc import BlockState
 from .rates import Params, _beta_moments
 from .samplers import RngStream
+from .weighted import mean_estimate
 
 _MAX_EVENTS = 10_000_000
 
@@ -306,19 +307,17 @@ def functional_scaling_report(
             samples = acc
         refs = _asymptotic_reference(family, alpha, n0)
         for name in _FUNCTIONALS:
-            vals = samples[name]
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(replicas))
+            est = mean_estimate(samples[name])
             ref = refs[name]
             rows.append(
                 FunctionalReportRow(
                     family=family,
                     n0=n0,
                     functional=name,
-                    mean=mean,
-                    stderr=se,
+                    mean=est.value,
+                    stderr=est.stderr,
                     reference=ref,
-                    ratio=(mean / ref) if ref else None,
+                    ratio=(est.value / ref) if ref else None,
                 )
             )
     return rows

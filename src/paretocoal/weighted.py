@@ -37,57 +37,67 @@ class RatioAccumulator:
     """Streaming sums for one or more ratio estimates sharing weights.
 
     v may be a vector per replica (shape (batch, k)); one estimate per
-    column is produced. Weights are shifted by the median log-weight of the
-    first batch before exponentiation, which cancels in every reported
-    quantity but keeps the running sums in floating range.
+    column is produced. Weights are taken relative to the largest log-weight
+    seen so far, so every stored weight is at most 1 and no sum overflows;
+    a batch that raises the maximum rescales the stored sums. Each batch is
+    reduced to its ratio R and the centered sums of w^2 (v - R) and
+    w^2 (v - R)^2, which merge by moving both to the pooled ratio (Chan,
+    Golub and LeVeque 1979), so the variance never comes from cancelling
+    raw moments.
     """
 
     def __init__(self, columns: int = 1):
         self.columns = columns
         self.n = 0
-        self._shift = None
+        self._shift = -math.inf
         self._sw = 0.0
         self._sw2 = 0.0
-        self._swv = np.zeros(columns)
-        self._swv2 = np.zeros(columns)
-        self._sw2v = np.zeros(columns)
+        self._ratio = np.zeros(columns)
+        self._c1 = np.zeros(columns)  # sum w^2 (v - ratio)
+        self._c2 = np.zeros(columns)  # sum w^2 (v - ratio)^2
 
     def add(self, log_w: np.ndarray, v: np.ndarray) -> None:
         log_w = np.asarray(log_w, dtype=float)
         v = np.asarray(v, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
-        if self._shift is None:
-            self._shift = float(np.median(log_w))
-        w = np.exp(log_w - self._shift)
-        wv = w[:, None] * v
         self.n += log_w.shape[0]
-        self._sw += float(w.sum())
-        self._sw2 += float((w * w).sum())
-        self._swv += wv.sum(axis=0)
-        self._swv2 += (wv * wv).sum(axis=0)
-        self._sw2v += (wv * w[:, None]).sum(axis=0)
+        if log_w.size == 0:
+            return
+        top = float(log_w.max())
+        if top > self._shift:
+            f = math.exp(self._shift - top)
+            self._sw *= f
+            self._sw2 *= f * f
+            self._c1 *= f * f
+            self._c2 *= f * f
+            self._shift = top
+        w = np.exp(log_w - self._shift)
+        w2 = w * w
+        sw, sw2 = float(w.sum()), float(w2.sum())
+        if sw == 0.0:  # every weight underflows next to the maximum
+            return
+        ratio = (w @ v) / sw
+        d = v - ratio
+        c1, c2 = w2 @ d, w2 @ (d * d)
+        total = self._sw + sw
+        pooled = self._ratio + (ratio - self._ratio) * (sw / total)
+        da, db = self._ratio - pooled, ratio - pooled
+        self._c2 += 2.0 * da * self._c1 + da * da * self._sw2
+        self._c2 += c2 + 2.0 * db * c1 + db * db * sw2
+        self._c1 += da * self._sw2 + c1 + db * sw2
+        self._ratio = pooled
+        self._sw, self._sw2 = total, self._sw2 + sw2
 
     def estimates(self) -> list[WeightedEstimate]:
         if self.n == 0:
             raise ValueError("no replicas accumulated")
-        n = self.n
-        m0 = self._sw / n
-        m1 = self._swv / n
-        ratio = m1 / m0
-        var_wv = self._swv2 / n - m1 * m1
-        var_w = self._sw2 / n - m0 * m0
-        cov = self._sw2v / n - m1 * m0
-        var_ratio = (var_wv - 2.0 * ratio * cov + ratio * ratio * var_w) / (
-            n * m0 * m0
-        )
-        stderr = np.sqrt(np.maximum(var_ratio, 0.0))
+        stderr = np.sqrt(np.maximum(self._c2, 0.0)) / self._sw
         ess = self._sw * self._sw / self._sw2 if self._sw2 > 0 else 0.0
-        out = [
-            WeightedEstimate(float(r), float(s), n, float(ess))
-            for r, s in zip(ratio, stderr)
+        return [
+            WeightedEstimate(float(r), float(s), self.n, float(ess))
+            for r, s in zip(self._ratio, stderr)
         ]
-        return out
 
     def estimate(self) -> WeightedEstimate:
         est = self.estimates()
@@ -110,5 +120,7 @@ def mean_estimate(values: np.ndarray) -> WeightedEstimate:
     """Plain sample-mean wrapper so unweighted estimators share the type."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if n < 2:
+        raise ValueError(f"replicas >= 2 required for a standard error, got {n}")
+    se = float(values.std(ddof=1) / math.sqrt(n))
     return WeightedEstimate(float(values.mean()), se, n, float(n))

@@ -7,13 +7,18 @@ endpoint singularities of beta densities natively. Integrands are written
 with expm1/log1p or explicit polynomial forms so they stay accurate where
 naive evaluation cancels. Transition-matrix entries of the discrete
 chain come from sums over compositions and, at alpha = 0, from exact
-integer Stirling numbers.
+integer Stirling numbers. Alternative algebraic routes (the moment form of
+the Lambda rates and of the finite-N merger probabilities, the product
+form of the Xi merger probabilities) live here too, as independent
+cross-checks of the package's own recursions and estimators.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, special
@@ -96,6 +101,51 @@ def mean_first_collision_quad(alpha: float, beta: float, i: int) -> float:
     q = alpha - beta - 1.0
     val = _beta_weight_integral(kernel, p, q) / _density_norm(alpha, beta)
     return i * val / total_rate_quad(alpha, beta, i)
+
+
+def lambda_rate_moment_form(alpha: float, beta: float, i: int, j: int) -> float:
+    """lambda_(i,j) rebuilt from the one-merger moments q_m = lambda_(m,1).
+
+    Expanding the (1-u)^(j-1) factor of the rate integral binomially gives
+    lambda_(i,j) = C(i, j-1) sum_{l=0}^{j-1} (-1)^l C(j-1, l) q_(i-j+1+l),
+    with q_m = B(m - alpha, alpha - beta) / B(2 - alpha, alpha - beta) from
+    scipy's betaln. The alternating sum cancels, so expect absolute (not
+    relative) accuracy.
+    """
+    if i < 2 or not 1 <= j < i:
+        raise ValueError("need i >= 2 and 1 <= j < i")
+    denom = special.betaln(2.0 - alpha, alpha - beta)
+
+    def q(m: int) -> float:
+        return math.exp(special.betaln(m - alpha, alpha - beta) - denom)
+
+    total = math.fsum(
+        (-1.0) ** l * math.comb(j - 1, l) * q(i - j + 1 + l) for l in range(j)
+    )
+    return math.comb(i, j - 1) * total
+
+
+def xi_merger_prob(alpha: float, beta: float, composition) -> float:
+    """Probability of the specific (i_1,..,i_j)-merger, parts >= 1.
+
+    phi_j = alpha^(j-1) Gamma(1-b) Gamma(j - b/a) / (Gamma(1 - b/a) Gamma(i-b))
+            * prod_l Gamma(i_l - a) / Gamma(1 - a), with scipy log-gammas.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("xi merger probabilities require 0 < alpha < 1")
+    if len(composition) == 0 or any(p < 1 for p in composition):
+        raise ValueError("composition parts must be >= 1")
+    i, j = sum(composition), len(composition)
+    g = special.gammaln
+    log_phi = (
+        (j - 1) * math.log(alpha)
+        + g(1.0 - beta)
+        - g(1.0 - beta / alpha)
+        + g(j - beta / alpha)
+        - g(i - beta)
+        + sum(g(p - alpha) - g(1.0 - alpha) for p in composition)
+    )
+    return float(math.exp(log_phi))
 
 
 def xi_merger_prob_alt(alpha: float, beta: float, composition) -> float:
@@ -187,6 +237,17 @@ def gamma_partition_c_N_exact(theta: float, N: int) -> float:
     return (1.0 + theta) / (N * theta + 1.0)
 
 
+def frechet_mean(alpha: float) -> float:
+    """Gamma(1 - 1/alpha), the mean of a Frechet(alpha) variate, alpha > 1.
+
+    It is the exact conditional mean of the fittest offspring's fitness
+    over the global fitness in the forward model.
+    """
+    if alpha <= 1.0:
+        raise ValueError("the Frechet mean is finite only for alpha > 1")
+    return math.exp(special.gammaln(1.0 - 1.0 / alpha))
+
+
 def kingman_tagged_branch_exact(i: int) -> float:
     """E(length of a random external branch), binary-merger coalescent.
 
@@ -253,3 +314,40 @@ def first_step_means(row, n0: int) -> dict:
         "random_external_branch": tag[n0],
         "external_length": n0 * tag[n0],
     }
+
+
+class MeanEstimate(NamedTuple):
+    value: float
+    stderr: float
+
+
+def estimate_moment_form(batches, i: int, j: int, beta: float = 0.0) -> MeanEstimate:
+    """P_(i,j) through the alternating sum of partial-segment moments.
+
+    batches yields (b, N) arrays of unnormalized segment lengths, one row
+    per replica. Evaluates C(N,j) * sum_l (-1)^(j-l) C(j,l) E((S_1+..+S_l)^i)
+    by Monte Carlo, an independent cross-check of the occupancy estimator.
+    Only the plain (beta = 0) form is supported, and the alternating sum
+    limits the usable range to small i and j.
+    """
+    if beta != 0.0:
+        raise ValueError("moment-form estimator requires beta = 0")
+    if not 1 <= j <= i <= 8:
+        raise ValueError("need 1 <= j <= i <= 8")
+    coef = np.array(
+        [(-1.0) ** (j - l) * math.comb(j, l) for l in range(1, j + 1)]
+    )
+    vals = []
+    for x in batches:
+        partial = np.cumsum(x[:, :j], axis=1) / x.sum(axis=1)[:, None]
+        vals.append(float(math.comb(x.shape[1], j)) * (partial**i @ coef))
+    v = np.concatenate(vals)
+    est = MeanEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size)))
+    if est.stderr > max(abs(est.value), 1e-300):
+        warnings.warn(
+            "moment-form estimate noisier than its own value; the "
+            "alternating sum is cancelling badly",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return est

@@ -21,6 +21,7 @@ import pytest
 from oracles import (
     block_loss_rate_quad,
     gamma_partition_c_N_exact,
+    lambda_rate_moment_form,
     lambda_rate_quad,
     mean_first_collision_quad,
     total_rate_quad,
@@ -35,7 +36,6 @@ from paretocoal.finite_mc import (
 from paretocoal.forward import (
     ForwardConfig,
     fittest_stats,
-    genealogy_c_N,
     increments,
     per_step_mean_parts,
     speed_estimate,
@@ -44,7 +44,6 @@ from paretocoal.rates import (
     Params,
     block_loss_rate,
     lambda_rate,
-    lambda_rate_moment_form,
     lambda_row,
     mean_first_collision_size,
     stirling_case_matrix,
@@ -52,8 +51,9 @@ from paretocoal.rates import (
     xi_transition_matrix,
 )
 from paretocoal.regression import fit_c_N_scaling
-from paretocoal.samplers import RngStream, gamma_sample, standardized_sum_stats
+from paretocoal.samplers import RngStream, standardized_sum_stats
 from paretocoal.simulate import kingman_functionals, simulate_lambda
+from test_forward import forward_genealogy_c_N
 
 pytestmark = pytest.mark.acceptance
 
@@ -246,7 +246,7 @@ class TestCriterion05RateAlgebra:
                     for j in range(1, i):
                         worst_moment = max(
                             worst_moment,
-                            abs(lambda_rate(p, i, j) - lambda_rate_moment_form(p, i, j)),
+                            abs(lambda_rate(p, i, j) - lambda_rate_moment_form(a, b, i, j)),
                         )
         xi_row_err = 0.0
         for a, b in [(0.5, 0.0), (0.7, 0.3)]:
@@ -393,7 +393,7 @@ class TestCriterion09ForwardModel:
             vals[r] = math.exp(beta * increments(cfg, rng.substream(r)).sum())
         lhs, lhs_se = vals.mean(), vals.std(ddof=1) / math.sqrt(reps)
         aux = RngStream(109, 61)
-        f1 = gamma_sample(N + 1, aux, 100_000) ** (-beta / alpha)
+        f1 = aux.gen.gamma(N + 1, size=100_000) ** (-beta / alpha)
         f2 = (1.0 / aux.uniform_open((100_000, N))).sum(axis=1) ** (beta / alpha)
         m1, m2 = f1.mean(), f2.mean()
         rhs = (m1 * m2) ** k
@@ -425,16 +425,16 @@ class TestCriterion09ForwardModel:
 
 
 class TestCriterion10GenealogyCorrespondence:
+    """The forward model's genealogy, read from its own selected fitnesses
+    (one explicit generation per replica), against the segment model."""
+
     N = 2000
     REPS = 50_000
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5])
     def test_plain_sampling_is_alpha_free(self, alpha):
-        est = genealogy_c_N(
-            ForwardConfig(N=self.N, alpha=alpha, generations=1),
-            "plain",
-            self.REPS,
-            RngStream(110, int(alpha * 10)),
+        est = forward_genealogy_c_N(
+            alpha, self.N, "plain", self.REPS, RngStream(110, int(alpha * 10))
         )
         ref = estimate_c_N_conditional(
             PartitionModel.pareto(1.0, self.N), self.REPS, RngStream(110, 99)
@@ -448,11 +448,8 @@ class TestCriterion10GenealogyCorrespondence:
         )
 
     def test_distorted_sampling_recovers_tail_index(self):
-        est = genealogy_c_N(
-            ForwardConfig(N=self.N, alpha=1.5, generations=1),
-            "distorted",
-            self.REPS,
-            RngStream(110, 20),
+        est = forward_genealogy_c_N(
+            1.5, self.N, "distorted", self.REPS, RngStream(110, 20)
         )
         ref = estimate_c_N_conditional(
             PartitionModel.pareto(1.5, self.N), self.REPS, RngStream(110, 98)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,17 @@ class TestSimulateCommand:
             assert rows[0][1] == n0
             assert rows[-1][1] == "1"
 
+    def test_too_few_replicas_exit_two(self, tmp_path, capsys):
+        for family in (["beta", "--alpha", "1.5"], ["kingman"]):
+            for replicas in ("0", "1"):
+                rc, text = run_cli(
+                    ["simulate", "--family", *family, "--N", "50",
+                     "--replicas", replicas],
+                    tmp_path,
+                )
+                assert rc == 2 and text == ""
+                assert "replicas" in capsys.readouterr().err
+
 
 class TestForwardCommand:
     def test_trajectory_format(self, tmp_path):
@@ -212,6 +224,18 @@ class TestForwardCommand:
         header, rows = data_rows(text)
         names = {r[0] for r in rows}
         assert {"speed", "selection_part", "growth_part", "oracle_total"} <= names
+
+    def test_too_few_replicas_exit_two(self, tmp_path, capsys):
+        for replicas in ("0", "1"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, text = run_cli(
+                    ["forward", "--alpha", "1", "--N", "100", "--generations",
+                     "100", "--kind", "speed", "--replicas", replicas],
+                    tmp_path,
+                )
+            assert rc == 2 and text == ""
+            assert "replicas" in capsys.readouterr().err
 
     def test_pressure_sweep(self, tmp_path):
         rc, text = run_cli(

@@ -5,13 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
+from oracles import frechet_mean
 from paretocoal.forward import (
     ForwardConfig,
-    ancestor_sampling_probs,
-    expected_mean_ratio,
     explicit_fitnesses,
     fittest_stats,
-    genealogy_c_N,
     increments,
     initial_state,
     legendre,
@@ -22,7 +20,35 @@ from paretocoal.forward import (
     trajectory,
 )
 from paretocoal.finite_mc import PartitionModel, estimate_c_N_conditional
-from paretocoal.samplers import RngStream, gamma_sample
+from paretocoal.samplers import RngStream
+from paretocoal.weighted import WeightedEstimate, mean_estimate
+
+
+def selection_probs(fit: np.ndarray, alpha: float, mode: str) -> np.ndarray:
+    """Chance that a child descends from each selected parent.
+
+    mode "plain" reads the offspring intensity: weights fit^alpha. mode
+    "distorted" reads the image intensity under x -> x^alpha: weights fit.
+    """
+    w = fit**alpha if mode == "plain" else fit
+    return w / w.sum()
+
+
+def forward_genealogy_c_N(
+    alpha: float, N: int, mode: str, replicas: int, rng: RngStream
+) -> WeightedEstimate:
+    """Coalescence probability of the forward model's genealogy.
+
+    Each replica runs one explicit_fitnesses generation from unit fitnesses
+    and scores sum p_n^2, the chance that two children share a parent.
+    """
+    cfg = ForwardConfig(N=N, alpha=alpha, generations=1)
+    start = initial_state(cfg)
+    vals = np.empty(replicas)
+    for r in range(replicas):
+        p = selection_probs(explicit_fitnesses(start, cfg, rng)[1], alpha, mode)
+        vals[r] = p @ p
+    return mean_estimate(vals)
 
 
 class TestConfigAndState:
@@ -102,7 +128,7 @@ class TestDrift:
         # E(ln tau_(N+1)) = psi(N+1) for an Erlang arrival time.
         N = 50
         rng = RngStream(74)
-        tau = gamma_sample(N + 1, rng, 100_000)
+        tau = rng.gen.gamma(N + 1, size=100_000)
         logs = np.log(tau)
         se = logs.std(ddof=1) / math.sqrt(logs.size)
         assert abs(logs.mean() - special.digamma(N + 1)) < 3 * se
@@ -154,7 +180,7 @@ class TestDrift:
         lhs_se = vals.std(ddof=1) / math.sqrt(reps)
 
         aux = RngStream(82)
-        tau = gamma_sample(N + 1, aux, 100_000)
+        tau = aux.gen.gamma(N + 1, size=100_000)
         f1 = tau ** (-beta / alpha)
         y = 1.0 / aux.uniform_open((100_000, N))
         f2 = y.sum(axis=1) ** (beta / alpha)
@@ -169,7 +195,7 @@ class TestDrift:
     def test_selection_factor_moment_is_gamma_ratio(self):
         N, alpha, beta = 50, 1.0, 0.5
         rng = RngStream(83)
-        tau = gamma_sample(N + 1, rng, 200_000)
+        tau = rng.gen.gamma(N + 1, size=200_000)
         w = tau ** (-beta / alpha)
         se = w.std(ddof=1) / math.sqrt(w.size)
         expect = math.exp(
@@ -220,38 +246,30 @@ class TestFittest:
         assert abs(st.median_ratio - target_med) < 0.01
         assert st.mean_ratio is not None
         assert abs(st.mean_ratio - math.sqrt(math.pi)) < 3 * st.mean_stderr
-        assert expected_mean_ratio(2.0) == pytest.approx(math.sqrt(math.pi))
+        assert frechet_mean(2.0) == pytest.approx(math.sqrt(math.pi))
 
     def test_mean_suppressed_for_small_alpha(self):
         cfg = ForwardConfig(N=100, alpha=0.8, generations=1)
         st = fittest_stats(cfg, 1000, RngStream(85))
         assert st.mean_ratio is None
         with pytest.raises(ValueError):
-            expected_mean_ratio(0.8)
+            frechet_mean(0.8)
 
 
 class TestGenealogy:
     def test_probabilities_normalized(self):
         cfg = ForwardConfig(N=500, alpha=1.5, generations=1)
+        _, fit = explicit_fitnesses(initial_state(cfg), cfg, RngStream(86))
         for mode in ("plain", "distorted"):
-            p = ancestor_sampling_probs(cfg, mode, RngStream(86))
+            p = selection_probs(fit, cfg.alpha, mode)
             assert p.shape == (500,)
             assert p.min() > 0
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_mode_validation(self):
-        cfg = ForwardConfig(N=10, alpha=1.5, generations=1)
-        with pytest.raises(ValueError):
-            ancestor_sampling_probs(cfg, "sideways", RngStream(0))
-
     def test_plain_mode_is_alpha_free(self):
         N, reps = 500, 40_000
-        a = genealogy_c_N(
-            ForwardConfig(N=N, alpha=0.7, generations=1), "plain", reps, RngStream(87)
-        )
-        b = genealogy_c_N(
-            ForwardConfig(N=N, alpha=1.5, generations=1), "plain", reps, RngStream(88)
-        )
+        a = forward_genealogy_c_N(0.7, N, "plain", reps, RngStream(87))
+        b = forward_genealogy_c_N(1.5, N, "plain", reps, RngStream(88))
         se = math.hypot(a.stderr, b.stderr)
         assert abs(a.value - b.value) < 3 * se
         ref = estimate_c_N_conditional(
@@ -261,13 +279,21 @@ class TestGenealogy:
 
     def test_distorted_mode_matches_segment_model(self):
         N, reps = 500, 40_000
-        est = genealogy_c_N(
-            ForwardConfig(N=N, alpha=1.5, generations=1),
-            "distorted",
-            reps,
-            RngStream(90),
-        )
+        est = forward_genealogy_c_N(1.5, N, "distorted", reps, RngStream(90))
         ref = estimate_c_N_conditional(
             PartitionModel.pareto(1.5, N), reps, RngStream(91)
         )
         assert abs(est.value - ref.value) < 3 * math.hypot(est.stderr, ref.stderr)
+
+
+class TestExplicitOverflow:
+    def test_overflow_raises_and_names_the_log_space_step(self):
+        # From unit fitnesses at alpha = 1, N = 100 the global fitness
+        # passes the largest double after about 350 generations.
+        cfg = ForwardConfig(N=100, alpha=1.0, generations=1)
+        st, rng = initial_state(cfg), RngStream(3)
+        with pytest.raises(OverflowError, match=r"ln\(max double\).*step\(\)"):
+            for _ in range(1000):
+                st, fit = explicit_fitnesses(st, cfg, rng)
+                assert np.all(np.isfinite(fit))
+        assert 300 < st.k < 400

@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     block_loss_rate_quad,
+    lambda_rate_moment_form,
     lambda_rate_quad,
     mean_first_collision_quad,
     stirling_triangle,
     total_rate_quad,
+    xi_merger_prob,
     xi_merger_prob_alt,
     xi_reassembled_entry,
     xi_transition_entry_enum,
@@ -25,14 +27,12 @@ from paretocoal.rates import (
     comes_down_diagnostic,
     kingman_rate,
     lambda_rate,
-    lambda_rate_moment_form,
     lambda_row,
     mean_first_collision_size,
     block_loss_rate,
     rate_row,
     stirling_case_matrix,
     total_rate,
-    xi_merger_prob,
     xi_transition_matrix,
 )
 from paretocoal.simulate import _jump_rates
@@ -149,7 +149,7 @@ class TestTotalsAndLossRates:
                 for i in range(2, 11):
                     for j in range(1, i):
                         direct = lambda_rate(p, i, j)
-                        alt = lambda_rate_moment_form(p, i, j)
+                        alt = lambda_rate_moment_form(a, b, i, j)
                         assert abs(direct - alt) <= 1e-9 * max(1.0, direct)
 
 
@@ -276,9 +276,8 @@ class TestXiMatrix:
 
     def test_merger_prob_two_factorizations_agree(self):
         for a, b in [(0.5, 0.0), (0.8, 0.4), (0.25, -1.5)]:
-            p = Params(a, b)
             for comp in [(2,), (3,), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1)]:
-                assert xi_merger_prob(p, comp) == pytest.approx(
+                assert xi_merger_prob(a, b, comp) == pytest.approx(
                     xi_merger_prob_alt(a, b, comp), rel=1e-11
                 )
 
@@ -289,7 +288,7 @@ class TestXiMatrix:
             for j in range(1, i + 1):
                 assert abs(
                     xi_reassembled_entry(
-                        lambda comp: xi_merger_prob(p, comp), i, j
+                        lambda comp: xi_merger_prob(0.5, 0.0, comp), i, j
                     )
                     - m.entry(i, j)
                 ) <= 1e-12

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 
+from paretocoal.finite_mc import PartitionModel
 from paretocoal.samplers import (
     GcltConstants,
     RngStream,
     frechet_sample,
-    gamma_sample,
     gclt_constants,
     pareto_sample,
     poisson_arrivals,
@@ -81,19 +81,21 @@ class TestPareto:
 
 
 class TestGamma:
+    """The one gamma sampler is PartitionModel.draw of the gamma family."""
+
     def test_moments(self):
-        x = gamma_sample(2.0, RngStream(5), 1_000_000)
+        x = PartitionModel.gamma(2.0, 1).draw(1_000_000, RngStream(5))
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - 2.0) < 3 * se
         assert abs(x.var(ddof=1) - 2.0) < 0.05
 
     def test_exponential_median(self):
-        x = gamma_sample(1.0, RngStream(6), 500_000)
+        x = PartitionModel.gamma(1.0, 1).draw(500_000, RngStream(6))
         assert abs(np.median(x) - math.log(2.0)) < 3 * median_stderr(x)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gamma_sample(-1.0, RngStream(0))
+            PartitionModel.gamma(-1.0, 1)
 
 
 class TestPoissonArrivals:

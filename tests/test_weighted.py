@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +45,43 @@ class TestRatioAccumulator:
         many = RatioAccumulator()
         for lo in range(0, 3000, 500):
             many.add(logw[lo : lo + 500], v[lo : lo + 500])
-        assert many.estimate().value == pytest.approx(one.estimate().value, rel=1e-12)
+        a, b = many.estimate(), one.estimate()
+        assert a.value == pytest.approx(b.value, rel=1e-12)
+        assert a.stderr == pytest.approx(b.stderr, rel=1e-12)
+        assert a.ess == pytest.approx(b.ess, rel=1e-12)
+
+    def test_one_replica_batches_at_large_bias(self):
+        # Size-biased c_N at alpha = 2.5, beta = 300, N = 50, fed one replica
+        # at a time: later weights exceed the first by hundreds of orders of
+        # magnitude, so sums of w^2 taken against the first would overflow.
+        rng = np.random.default_rng(4)
+        x = (1.0 - rng.random((20_000, 50))) ** (-1.0 / 2.5)
+        s = x.sum(axis=1)
+        logw, v = 300.0 * np.log(s), (x * x).sum(axis=1) / (s * s)
+        one = RatioAccumulator()
+        one.add(logw, v)
+        many = RatioAccumulator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(v.size):
+                many.add(logw[k : k + 1], v[k : k + 1])
+        a, b = many.estimate(), one.estimate()
+        assert all(math.isfinite(t) for t in (a.value, a.stderr, a.ess))
+        assert a.value == pytest.approx(b.value, rel=1e-12)
+        assert a.stderr == pytest.approx(b.stderr, rel=1e-9)
+        assert a.ess == pytest.approx(b.ess, rel=1e-12)
+
+    def test_no_cancellation_at_large_offset(self):
+        # Unit weights and v = 1e8 + U(0, 1): raw second moments would cancel
+        # (to a stderr of 0.0); centered sums keep the true 2.9e-4.
+        rng = np.random.default_rng(5)
+        u = rng.random(1_000_000)
+        v = 1e8 + u
+        want = np.std(v - 1e8) / math.sqrt(v.size)
+        acc = RatioAccumulator()
+        for lo in range(0, v.size, 250_000):
+            acc.add(np.zeros(250_000), v[lo : lo + 250_000])
+        assert acc.estimate().stderr == pytest.approx(want, rel=1e-6)
 
     def test_vector_columns(self):
         rng = np.random.default_rng(3)
@@ -84,3 +121,8 @@ class TestWeightedEstimate:
         assert est.value == pytest.approx(2.5)
         assert est.replicas == 4
         assert est.stderr == pytest.approx(x.std(ddof=1) / 2.0)
+
+    def test_mean_estimate_needs_two_values(self):
+        for x in (np.array([]), np.array([1.0])):
+            with pytest.raises(ValueError, match="replicas >= 2"):
+                mean_estimate(x)
