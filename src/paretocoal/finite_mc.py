@@ -48,7 +48,9 @@ class PartitionModel:
                     "beta this large gives heavy-tailed weights; expect a "
                     "degenerate effective sample size",
                     RuntimeWarning,
-                    stacklevel=2,
+                    # past the generated __init__ and pareto(), to the
+                    # line that called PartitionModel.pareto
+                    stacklevel=4,
                 )
         elif self.family == "gamma":
             if self.theta is None or self.theta <= 0:

@@ -162,6 +162,8 @@ def speed_estimate(
     """
     if config.generations < 100:
         raise ValueError("speed_estimate wants generations >= 100")
+    if replicas < 2:
+        raise ValueError(f"replicas >= 2 required, got {replicas}")
     vals = np.empty(replicas)
     for r in range(replicas):
         vals[r] = increments(config, rng.substream(r)).mean()

@@ -8,8 +8,10 @@ block-count law, built by one recursion that also covers the alpha = 0
 Stirling-number case), and the leading-order coalescence probability in
 every regime.
 
-All gamma/beta evaluations run in log space; tables are immutable after
-construction and safe to share across threads.
+Lambda rates come from ratio recursions of the measure's moments, the Xi
+matrix from Pitman's recursion, so no rate is assembled from gamma
+functions; tables are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# bench/tracing.py wraps rates.log_gamma by name, so the import stays.
+# bench/tracing.py wraps rates.log_gamma, log_beta and log_binomial by
+# name, so all three imports stay.
 from .specfun import log_beta, log_binomial, log_gamma  # noqa: F401
 
 
@@ -62,36 +65,51 @@ def _require_lambda_regime(params: Params) -> None:
         )
 
 
+def _beta_moments(params: Params, m_max: int) -> np.ndarray:
+    """I_m = E(1-X)^m, m = 0..m_max, for X ~ beta(2-alpha, alpha-beta).
+
+    Ratio recursion I_m / I_(m-1) = (alpha-beta+m-1)/(1-beta+m), I_0 = 1.
+    Every total, block-loss and single-merger rate of the measure is a
+    partial sum of these: lambda_(i+1) = lambda_i + i I_(i-1),
+    r(i+1) = r(i) + sum_(m<i) I_m, lambda_2 = r(2) = 1, and the binary
+    rate is C(i, 2) I_(i-2).
+    """
+    _require_lambda_regime(params)
+    a, b = params.alpha, params.beta
+    m = np.arange(1, m_max + 1, dtype=float)
+    ratios = (a - b + m - 1.0) / (1.0 - b + m)
+    return np.concatenate(([1.0], np.cumprod(ratios)))
+
+
 def lambda_rate(params: Params, i: int, j: int) -> float:
     """Rate of an i-to-j merger for the beta(2-alpha, alpha-beta) measure.
 
-    lambda_(i,j) = C(i, j-1) B(i-j+1-alpha, alpha-beta+j-1) / B(2-alpha, alpha-beta).
+    lambda_(i,j) = C(i, j-1) B(i-j+1-alpha, alpha-beta+j-1) / B(2-alpha, alpha-beta),
+    read off lambda_row.
     """
     _require_lambda_regime(params)
     if i < 2 or not 1 <= j < i:
         raise ValueError("need i >= 2 and 1 <= j < i")
-    a, b = params.alpha, params.beta
-    log_r = (
-        log_binomial(i, j - 1)
-        + log_beta(i - j + 1 - a, a - b + j - 1)
-        - log_beta(2 - a, a - b)
-    )
-    return float(math.exp(log_r))
+    return float(lambda_row(params, i)[j - 1])
 
 
 def lambda_row(params: Params, i: int) -> np.ndarray:
-    """All rates lambda_(i, 1..i-1) as one vectorized log-space evaluation."""
+    """All rates lambda_(i, 1..i-1) from the ratio recursion.
+
+    The binary rate is lambda_(i,2) = C(i, 2) I_(i-2) (see _beta_moments);
+    the term ratio lambda_(i,k+1)/lambda_(i,k) =
+    (i-k)(k-alpha) / ((k+1)(i-k-1+alpha-beta)) carries it up to k = i
+    merging blocks. Entry j-1 holds the i-to-j merger, k = i-j+1.
+    """
     _require_lambda_regime(params)
     if i < 2:
         raise ValueError("i >= 2 required")
     a, b = params.alpha, params.beta
-    j = np.arange(1, i, dtype=float)
-    log_r = (
-        log_binomial(float(i), j - 1)
-        + log_beta(i - j + 1 - a, a - b + j - 1)
-        - log_beta(2 - a, a - b)
-    )
-    return np.exp(log_r)
+    k = np.arange(2, i, dtype=float)
+    ratios = (i - k) * (k - a) / ((k + 1.0) * (i - k - 1.0 + a - b))
+    first = i * (i - 1) / 2.0 * _beta_moments(params, i - 2)[-1]
+    terms = first * np.concatenate(([1.0], np.cumprod(ratios)))
+    return terms[::-1].copy()  # a row of its own, not a reversed view
 
 
 def kingman_rate(i: int, j: int) -> float:
@@ -137,22 +155,6 @@ def mean_first_collision_size(params: Params, i: int) -> float:
     j = np.arange(1, i)
     lam = row.sum()
     return float(1.0 + ((i - j) * row).sum() / lam)
-
-
-def _beta_moments(params: Params, m_max: int) -> np.ndarray:
-    """I_m = E(1-X)^m, m = 0..m_max, for X ~ beta(2-alpha, alpha-beta).
-
-    Ratio recursion I_m / I_(m-1) = (alpha-beta+m-1)/(1-beta+m), I_0 = 1.
-    Every total, block-loss and single-merger rate of the measure is a
-    partial sum of these: lambda_(i+1) = lambda_i + i I_(i-1),
-    r(i+1) = r(i) + sum_(m<i) I_m, lambda_2 = r(2) = 1, and the binary
-    rate is C(i, 2) I_(i-2).
-    """
-    _require_lambda_regime(params)
-    a, b = params.alpha, params.beta
-    m = np.arange(1, m_max + 1, dtype=float)
-    ratios = (a - b + m - 1.0) / (1.0 - b + m)
-    return np.concatenate(([1.0], np.cumprod(ratios)))
 
 
 def comes_down_diagnostic(params: Params, M: int) -> np.ndarray:
@@ -214,18 +216,19 @@ class RateTable:
         return "\n".join(lines) + "\n"
 
 
+_I_MAX_HARD_CAP = 2000  # a table holds i_max^2 / 2 doubles
+
+
 def build_rate_table(params: Params, i_max: int) -> RateTable:
     """Materialized continuous-time rate table for i = 2..i_max."""
-    if i_max < 2:
-        raise ValueError("i_max >= 2 required")
+    if not 2 <= i_max <= _I_MAX_HARD_CAP:
+        raise ValueError(f"i_max must be in 2..{_I_MAX_HARD_CAP}, got {i_max}")
     rows = {i: rate_row(params, i) for i in range(2, i_max + 1)}
     return RateTable(i_max=i_max, kind="rates", _rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # Discrete-time simultaneous-merger matrix, alpha in [0, 1)
-
-_I_MAX_HARD_CAP = 2000  # the table holds i_max^2 / 2 doubles
 
 
 def _pd_block_counts(alpha: float, theta: float, i_max: int) -> RateTable:

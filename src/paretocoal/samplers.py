@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, log_abs_gamma
+from .specfun import EULER_GAMMA
 
 
 @dataclass
@@ -121,13 +121,21 @@ def gclt_constants(alpha: float, N: int) -> GcltConstants:
         # b_N degenerates at N = 1 (log 1 = 0); meaningful for N >= 2.
         return GcltConstants(2.0 * N, math.sqrt(N * math.log(N)), float("nan"), "critical(2)")
     if alpha < 2.0:
-        logabs, sign = log_abs_gamma(1.0 - alpha)
-        prod = sign * math.exp(logabs) * math.cos(math.pi * alpha / 2.0)
-        # Gamma(1-alpha) and cos(pi alpha/2) change sign together at alpha=1.
+        # Gamma(1-alpha) is finite here (alpha = 1 returned above) and
+        # changes sign with cos(pi alpha/2) at alpha = 1.
+        prod = math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)
         if prod <= 0:
             raise ValueError(f"non-positive tail constant at alpha={alpha}")
         c = prod ** (1.0 / alpha)
-        b = c * N ** max(1.0 / alpha, 0.5)
+        try:
+            b = c * N ** max(1.0 / alpha, 0.5)
+        except OverflowError:
+            b = math.inf
+        if b == math.inf:
+            raise ValueError(
+                f"scaling b_N = C_alpha N^(1/alpha) overflows a double at "
+                f"alpha={alpha}, N={N}"
+            )
         if alpha < 1.0:
             return GcltConstants(0.0, b, c, "stable(0,1)")
         mu = alpha / (alpha - 1.0)
@@ -164,10 +172,16 @@ def standardized_sum_stats(
     consts = gclt_constants(alpha, N)
     if not consts.b_N > 0:
         raise ValueError(f"degenerate scaling b_N={consts.b_N} at N={N}")
-    sums = np.concatenate(
-        [pareto_sample(alpha, rng, size=(b, N)).sum(axis=1)
-         for b in batched(replicas, N)]
-    )
+    with np.errstate(over="ignore"):
+        sums = np.concatenate(
+            [pareto_sample(alpha, rng, size=(b, N)).sum(axis=1)
+             for b in batched(replicas, N)]
+        )
+    if not np.isfinite(sums).all():
+        # U^(-1/alpha) passes the largest double once U < exp(-709.8 alpha).
+        raise ValueError(
+            f"Pareto partial sums overflow a double at alpha={alpha}, N={N}"
+        )
     z = (sums - consts.a_N) / consts.b_N
     qs = {q: float(v) for q, v in zip(_QUANTILES, np.quantile(z, _QUANTILES))}
     return SumStats(

@@ -282,6 +282,8 @@ def functional_scaling_report(
     The ratio column divides the empirical mean by the reference expression,
     so trend checks can require it to be stable or drift toward a constant.
     """
+    if replicas < 2:
+        raise ValueError(f"replicas >= 2 required, got {replicas}")
     if family == "beta":
         if alpha is None or not 1.0 < alpha < 2.0:
             raise ValueError("beta family requires alpha in (1, 2)")

@@ -1,10 +1,8 @@
 """Scalar special functions: log-gamma, digamma, log-beta, log-binomial.
 
-Everything downstream (merger rates, transition matrices, centering
-constants) is assembled in log space and exponentiated last, because the
-gamma function overflows double precision near argument 170. The
-implementations here are self-contained (Lanczos approximation plus
-asymptotic series) and accept scalars or numpy arrays.
+Log-gamma is the C library's lgamma; log-beta and log-binomial are built
+on it and take scalars. Digamma (an asymptotic series after upward
+recurrence) also accepts numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,76 +13,12 @@ import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Lanczos approximation, g = 7, 9 coefficients. Relative error below
-# 1e-13 on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
 
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lanczos_log_gamma(x):
-    """Core Lanczos evaluation, valid for x >= 0.5."""
-    acc = np.full_like(x, _LANCZOS_COEF[0])
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc = acc + _LANCZOS_COEF[k] / (x + (k - 1.0))
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_TWO_PI + (x - 0.5) * np.log(t) - t + np.log(acc)
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for x > 0.
-
-    Accepts a scalar or array; raises ValueError on any non-positive
-    argument (use log_abs_gamma for negative non-integer arguments).
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+def log_gamma(x: float) -> float:
+    """Natural log of the gamma function for finite x > 0."""
+    if not 0.0 < x < math.inf:
         raise ValueError("log_gamma requires x > 0")
-    small = arr < 0.5
-    shifted = np.where(small, arr + 1.0, arr)
-    out = _lanczos_log_gamma(shifted)
-    out = np.where(small, out - np.log(np.where(small, arr, 1.0)), out)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def _sin_pi(x: float) -> float:
-    # sin(pi*x) with argument reduction so the sign is exact for large |x|.
-    n = math.floor(x)
-    r = x - n
-    s = math.sin(math.pi * r)
-    return -s if (n % 2) else s
-
-
-def log_abs_gamma(x: float) -> tuple[float, int]:
-    """Return (log|Gamma(x)|, sign of Gamma(x)) for non-pole real x.
-
-    Negative arguments go through the reflection formula; non-positive
-    integers are poles and raise ValueError.
-    """
-    x = float(x)
-    if x > 0.0:
-        return log_gamma(x), 1
-    if x == math.floor(x):
-        raise ValueError(f"Gamma pole at non-positive integer x={x}")
-    s = _sin_pi(x)
-    # Gamma(x) = pi / (sin(pi x) * Gamma(1-x)); Gamma(1-x) > 0 here.
-    val = math.log(math.pi) - math.log(abs(s)) - log_gamma(1.0 - x)
-    return val, (1 if s > 0 else -1)
+    return math.lgamma(x)
 
 
 # Asymptotic series psi(x) ~ ln x - 1/(2x) - sum B_{2n}/(2n x^{2n}),
@@ -128,17 +62,13 @@ def digamma(x):
     return res.reshape(arr.shape)
 
 
-def log_beta(a, b):
+def log_beta(a: float, b: float) -> float:
     """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a, b > 0."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def log_binomial(n, k):
+def log_binomial(n: float, k: float) -> float:
     """log of the binomial coefficient C(n, k) for real n >= k >= 0."""
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0) or np.any(n - k < 0):
+    if k < 0 or n - k < 0:
         raise ValueError("log_binomial requires 0 <= k <= n")
     return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)

@@ -271,7 +271,7 @@ def lambda_row_betaln(alpha: float, beta: float, i: int) -> np.ndarray:
         special.gammaln(i + 1.0)
         - special.gammaln(k + 1.0)
         - special.gammaln(i - k + 1.0)
-        + special.betaln(k - alpha, alpha - beta + i - k)
+        + special.betaln(k - alpha, alpha - beta + (i - k))
         - special.betaln(2.0 - alpha, alpha - beta)
     )
     return np.exp(log_r)

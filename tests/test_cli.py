@@ -60,6 +60,23 @@ class TestRatesCommand:
         assert "3,2,3" in text.splitlines()
         assert "5,4,10" in text.splitlines()
 
+    def test_readme_table_rounds_exact_dyadics(self, tmp_path):
+        # lambda_(9,6) = 6237/8192 and lambda_(9,7) = 9009/4096 are exact
+        # doubles on a 12-digit rounding tie; half-even keeps the 2.
+        rc, text = run_cli(
+            ["rates", "--alpha", "1.5", "--beta", "0", "--i-max", "12"],
+            tmp_path,
+        )
+        assert rc == 0
+        lines = text.splitlines()
+        assert "9,6,0.761352539062" in lines
+        assert "9,7,2.19946289062" in lines
+
+    def test_i_max_cap_exits_two(self, capsys):
+        rc = main(["rates", "--alpha", "1.5", "--i-max", "2001"])
+        assert rc == 2
+        assert "2000" in capsys.readouterr().err
+
     def test_invalid_bias_exits_two(self, tmp_path, capsys):
         rc = main(["rates", "--alpha", "1.5", "--beta", "1.6"])
         assert rc == 2
@@ -190,7 +207,7 @@ class TestSimulateCommand:
 
     def test_too_few_replicas_exit_two(self, tmp_path, capsys):
         for family in (["beta", "--alpha", "1.5"], ["kingman"]):
-            for replicas in ("0", "1"):
+            for replicas in ("-3", "0", "1"):
                 rc, text = run_cli(
                     ["simulate", "--family", *family, "--N", "50",
                      "--replicas", replicas],
@@ -226,7 +243,7 @@ class TestForwardCommand:
         assert {"speed", "selection_part", "growth_part", "oracle_total"} <= names
 
     def test_too_few_replicas_exit_two(self, tmp_path, capsys):
-        for replicas in ("0", "1"):
+        for replicas in ("-1", "0", "1"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 rc, text = run_cli(
@@ -264,6 +281,18 @@ class TestGcltCommand:
         assert float(d["C_alpha"]) == pytest.approx(math.pi / 2)
         assert d["regime"] == "cauchy(1)"
         assert "q0.5" in d
+
+    @pytest.mark.parametrize("N", ["100", "10000"])
+    def test_tiny_alpha_overflow_exits_two(self, N, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, text = run_cli(
+                ["gclt", "--alpha", "0.01", "--N", N, "--replicas", "1000"],
+                tmp_path,
+            )
+        assert rc == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "overflow" in err and "alpha=0.01" in err and f"N={N}" in err
 
 
 class TestScalingFitCommand:

@@ -44,8 +44,10 @@ class TestPartitionModel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             PartitionModel.pareto(3.0, 10, beta=2.0)  # fine, no warning
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as record:
             PartitionModel.pareto(3.0, 10, beta=2.6)
+        # reported at this line, not inside the generated __init__
+        assert record[0].filename == __file__
 
 
 class TestGammaOracle:

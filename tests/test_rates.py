@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from oracles import (
     block_loss_rate_quad,
     lambda_rate_moment_form,
     lambda_rate_quad,
+    lambda_row_betaln,
     mean_first_collision_quad,
     stirling_triangle,
     total_rate_quad,
@@ -74,8 +76,26 @@ class TestLambdaRate:
 
     def test_row_matches_scalar(self):
         p = Params(1.3, -0.5)
-        row = lambda_row(p, 9)
-        assert_allclose(row, [lambda_rate(p, 9, j) for j in range(1, 9)], rtol=1e-13)
+        ref = lambda_row_betaln(1.3, -0.5, 9)
+        assert_allclose(lambda_row(p, 9), ref, rtol=1e-13)
+        assert_allclose([lambda_rate(p, 9, j) for j in range(1, 9)], ref, rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "a, b", [(1.0, 0.0), (1.5, 0.3), (1.9, -2.0), (1.2, 1.199)]
+    )
+    def test_row_matches_mpmath_at_two_thousand(self, a, b):
+        # 40-digit reference for sampled entries of one deep row; log-gamma
+        # rows miss 1e-13 here by more than an order of magnitude.
+        i = 2000
+        row = lambda_row(Params(a, b), i)
+        ma, mb = mp.mpf(a), mp.mpf(b)
+        js = [1, 2, i - 2, i - 1, *np.random.default_rng(8).integers(1, i, 40)]
+        with mp.workdps(40):
+            norm = mp.beta(2 - ma, ma - mb)
+            for j in js:
+                k = i - int(j) + 1
+                want = mp.binomial(i, k) * mp.beta(k - ma, ma - mb + i - k) / norm
+                assert abs(row[j - 1] - want) <= 1e-13 * want
 
     def test_quadrature_agreement(self):
         for a, b in PAIRS:
@@ -187,9 +207,9 @@ class TestComesDown:
 
 
 class TestRatioRecursion:
-    # Partial sums of I_m = E(1-X)^m, X ~ beta(2-alpha, alpha-beta), against
-    # sums of the Lanczos-evaluated rows; with k = i - j + 1 merging blocks,
-    # lambda_(i,k) is the row's entry j.
+    # Partial sums of I_m = E(1-X)^m, X ~ beta(2-alpha, alpha-beta), and the
+    # recursion-built rows against sums of scipy betaln rows; with
+    # k = i - j + 1 merging blocks, lambda_(i,k) is the row's entry j.
     @settings(max_examples=60, deadline=None)
     @given(
         alpha=st.floats(1.0, 1.999),
@@ -200,7 +220,8 @@ class TestRatioRecursion:
         a, b = alpha, alpha - gap
         p = Params(a, b)
         moments = _beta_moments(p, i)
-        row = lambda_row(p, i)
+        row = lambda_row_betaln(a, b, i)
+        assert_allclose(lambda_row(p, i), row, rtol=1e-11)
         k = i - np.arange(1, i) + 1.0
         total = 1.0 + math.fsum(m * moments[m - 1] for m in range(2, i))
         loss = 1.0 + math.fsum(math.fsum(moments[:n]) for n in range(2, i))
@@ -418,6 +439,14 @@ class TestTables:
                 assert_allclose(rate_row(p, i), t.row(i))
                 assert_allclose(total[i], t.total(i), rtol=1e-13)
                 assert_allclose(binary[i], t.entry(i, i - 1), rtol=1e-13)
+
+    def test_i_max_capped_like_the_xi_table(self):
+        for p in (Params(1.5, 0.0), Params(3.0, 0.0)):
+            with pytest.raises(ValueError, match="2000"):
+                build_rate_table(p, 2001)
+        t = build_rate_table(Params(1.0, 0.0), 2000)
+        total, _ = _jump_rates(Params(1.0, 0.0), 2000)
+        assert t.total(2000) == pytest.approx(total[2000], rel=1e-12)
 
     def test_csv_contains_simple_pair_row(self):
         m = xi_transition_matrix(Params(0.5, 0.0), 2)

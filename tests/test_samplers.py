@@ -170,6 +170,14 @@ class TestGcltConstants:
         assert c.a_N == pytest.approx(2000.0)
         assert c.regime_tag == "critical(2)"
 
+    def test_tail_constant_against_scipy(self):
+        # Gamma(1-alpha) and cos(pi alpha/2) both change sign at alpha = 1.
+        for alpha in [t / 10 for t in (*range(1, 10), *range(11, 20))]:
+            prod = special.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)
+            assert prod > 0
+            c = gclt_constants(alpha, 10).C_alpha
+            assert c == pytest.approx(prod ** (1.0 / alpha), rel=1e-12)
+
     def test_b_positive(self):
         for alpha in (0.3, 1.0, 1.5, 2.0, 2.5, 4.0):
             assert gclt_constants(alpha, 10).b_N > 0
@@ -179,6 +187,8 @@ class TestGcltConstants:
             gclt_constants(-1.0, 10)
         with pytest.raises(ValueError):
             gclt_constants(1.0, 0)
+        with pytest.raises(ValueError, match=r"b_N .* alpha=0\.01, N=10000"):
+            gclt_constants(0.01, 10_000)
 
 
 class TestStandardizedSums:

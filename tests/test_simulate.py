@@ -11,7 +11,7 @@ from oracles import (
     kingman_tagged_branch_exact,
     lambda_row_betaln,
 )
-from paretocoal.rates import Params, lambda_row
+from paretocoal.rates import Params
 from paretocoal.samplers import RngStream
 from paretocoal.simulate import (
     functional_scaling_report,
@@ -75,7 +75,7 @@ class TestSimulateLambda:
         for r in range(reps):
             traj, _ = simulate_lambda(params, i, rng)
             first_jump[r] = traj[1].blocks
-        row = lambda_row(params, i)
+        row = lambda_row_betaln(params.alpha, params.beta, i)
         probs = row / row.sum()
         for j in range(1, i):
             freq = (first_jump == j).mean()
@@ -112,13 +112,13 @@ class TestSimulateLambda:
 
     def test_scan_is_the_row_inverse_cdf(self):
         # The complemented uniform picks the same j as a search of the
-        # cumulative lambda_row would pick with u itself.
+        # cumulative betaln row would pick with u itself.
         us = np.random.default_rng(0).random(500)
         for params in (Params(1.5, 0.3), Params(1.0, 0.0), Params(1.9, -2.0)):
             total, binary = _jump_rates(params, 60)
             a, ab = params.alpha, params.alpha - params.beta
             for i in (2, 3, 9, 60):
-                cum = np.cumsum(lambda_row(params, i))
+                cum = np.cumsum(lambda_row_betaln(params.alpha, params.beta, i))
                 for u in us:
                     j = int(np.searchsorted(cum, u * cum[-1], side="right")) + 1
                     j = min(j, i - 1)

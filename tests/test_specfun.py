@@ -10,7 +10,6 @@ from scipy import special
 from paretocoal.specfun import (
     EULER_GAMMA,
     digamma,
-    log_abs_gamma,
     log_beta,
     log_binomial,
     log_gamma,
@@ -32,17 +31,16 @@ class TestLogGamma:
                 np.geomspace(200.0, 1e6, 200),
             ]
         )
-        ours = log_gamma(x)
-        ref = special.gammaln(x)
-        err = np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))
-        assert err.max() < 1e-12
+        for xi in x:
+            ref = special.gammaln(xi)
+            assert abs(log_gamma(xi) - ref) / max(1.0, abs(ref)) < 1e-12
 
     def test_recurrence_thousand_points(self):
         rng = np.random.default_rng(1234)
-        x = rng.uniform(1e-6, 100.0, size=1000)
-        lhs = log_gamma(x + 1.0)
-        rhs = log_gamma(x) + np.log(x)
-        assert np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))) < 1e-11
+        for x in rng.uniform(1e-6, 100.0, size=1000):
+            lhs = log_gamma(x + 1.0)
+            rhs = log_gamma(x) + math.log(x)
+            assert abs(lhs - rhs) / max(1.0, abs(lhs)) < 1e-11
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e5))
@@ -52,50 +50,9 @@ class TestLogGamma:
         )
 
     def test_domain_errors(self):
-        for bad in (0.0, -1.0, -0.5, float("nan")):
+        for bad in (0.0, -1.0, -0.5, -2.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 log_gamma(bad)
-        with pytest.raises(ValueError):
-            log_gamma(np.array([1.0, -2.0]))
-
-
-class TestLogAbsGamma:
-    def test_negative_half(self):
-        val, sign = log_abs_gamma(-0.5)
-        assert sign == -1
-        assert_allclose(val, math.log(2.0 * math.sqrt(math.pi)), rtol=1e-13)
-
-    def test_two(self):
-        val, sign = log_abs_gamma(2.0)
-        assert sign == 1
-        assert abs(val) < 1e-14
-
-    def test_minus_three_halves(self):
-        # Gamma(-1.5) = Gamma(0.5) / ((-1.5)(-0.5)) = 4 sqrt(pi) / 3 > 0
-        val, sign = log_abs_gamma(-1.5)
-        assert sign == 1
-        assert_allclose(val, math.log(4.0 * math.sqrt(math.pi) / 3.0), rtol=1e-12)
-
-    def test_sign_alternates_on_negative_unit_intervals(self):
-        signs = [log_abs_gamma(-k - 0.5)[1] for k in range(6)]
-        assert signs == [-1, 1, -1, 1, -1, 1]
-
-    def test_poles_raise(self):
-        for bad in (0.0, -1.0, -7.0):
-            with pytest.raises(ValueError):
-                log_abs_gamma(bad)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.floats(min_value=-40.0, max_value=-1e-3).filter(
-            lambda x: abs(x - round(x)) > 1e-4
-        )
-    )
-    def test_reflection_against_reference(self, x):
-        val, sign = log_abs_gamma(x)
-        ref = special.gammaln(x)  # scipy returns log|Gamma| for x < 0
-        assert val == pytest.approx(float(ref), rel=1e-10, abs=1e-10)
-        assert sign == special.gammasgn(x)
 
 
 class TestDigamma:
@@ -114,9 +71,9 @@ class TestDigamma:
 
     def test_matches_finite_difference_of_log_gamma(self):
         h = 1e-5
-        x = np.linspace(0.1, 50.0, 197)
-        fd = (log_gamma(x + h) - log_gamma(x - h)) / (2.0 * h)
-        assert np.max(np.abs(digamma(x) - fd)) < 1e-6
+        for x in np.linspace(0.1, 50.0, 197):
+            fd = (log_gamma(x + h) - log_gamma(x - h)) / (2.0 * h)
+            assert abs(digamma(x) - fd) < 1e-6
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
