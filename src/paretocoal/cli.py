@@ -25,14 +25,15 @@ from .forward import (
     speed_estimate,
     trajectory,
 )
-from .rates import (
-    Params,
-    build_rate_table,
-    xi_transition_matrix,
-)
+from .rates import I_MAX_CAP, Params, build_rate_table, xi_transition_matrix
 from .regression import fit_c_N_scaling
 from .samplers import RngStream, standardized_sum_stats
-from .simulate import functional_scaling_report, simulate_lambda, simulate_xi
+from .simulate import (
+    family_params,
+    functional_scaling_report,
+    simulate_lambda,
+    simulate_xi,
+)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def _provenance(config: ExperimentConfig) -> str:
 def _fmt(v) -> str:
     if isinstance(v, float):
         return format(float(v), ".12g")
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def _csv(header: str, rows, comments=()) -> str:
@@ -174,53 +175,32 @@ def _cmd_scaling_fit(cfg: ExperimentConfig) -> str:
 
 def _cmd_simulate(cfg: ExperimentConfig) -> str:
     family = _require(cfg.family, "--family")
+    beta = cfg.beta if cfg.beta is not None else 0.0
     rng = RngStream(cfg.seed)
     if cfg.trajectory:
         n0 = _require(cfg.N, "--N")
         if family == "xi":
+            if not 1 <= n0 <= I_MAX_CAP:
+                raise ValueError(
+                    f"--N must be in 1..{I_MAX_CAP} for the xi family, got {n0}"
+                )
             matrix = xi_transition_matrix(
-                Params(_require(cfg.alpha, "--alpha"), cfg.beta or 0.0), n0
+                Params(_require(cfg.alpha, "--alpha"), beta), n0
             )
             states, _ = simulate_xi(matrix, n0, rng)
         else:
-            states, _ = simulate_lambda(_sim_params(family, cfg), n0, rng)
-        return _csv("time_or_step,blocks", [(s.when, s.blocks) for s in states])
+            params = family_params(family, cfg.alpha, beta)
+            states, _ = simulate_lambda(params, n0, rng)
+        return _csv("time_or_step,blocks", ((s.when, s.blocks) for s in states))
     sizes = list(cfg.N_grid) if cfg.N_grid else [_require(cfg.N, "--N")]
     replicas = cfg.replicas if cfg.replicas is not None else 1000
     rows = functional_scaling_report(
-        family,
-        sizes,
-        replicas,
-        rng,
-        alpha=cfg.alpha,
-        beta=cfg.beta if cfg.beta is not None else 0.0,
+        family, sizes, replicas, rng, alpha=cfg.alpha, beta=beta
     )
     return _csv(
         "family,n0,functional,mean,stderr,reference,ratio",
-        [
-            (
-                r.family,
-                r.n0,
-                r.functional,
-                r.mean,
-                r.stderr,
-                "" if r.reference is None else r.reference,
-                "" if r.ratio is None else r.ratio,
-            )
-            for r in rows
-        ],
+        (dataclasses.astuple(r) for r in rows),
     )
-
-
-def _sim_params(family: str, cfg: ExperimentConfig) -> Params:
-    beta = cfg.beta if cfg.beta is not None else 0.0
-    if family == "kingman":
-        return Params(alpha=3.0, beta=beta)  # any alpha > 2: binary mergers
-    if family == "bs":
-        return Params(alpha=1.0, beta=beta)
-    if family == "beta":
-        return Params(alpha=_require(cfg.alpha, "--alpha"), beta=beta)
-    raise ValueError(f"unknown family {family!r}")
 
 
 def _cmd_forward(cfg: ExperimentConfig) -> str:

@@ -2,7 +2,8 @@
 
 Covers the continuous-time multiple-merger rates lambda_(i,j) for the
 beta(2-alpha, alpha-beta) family (including the alpha = 1 logarithmic case
-and the Kingman binary-merger limit), the discrete-time simultaneous-merger
+and, for alpha >= 2, Kingman's binary mergers: the point mass at 0, the
+alpha = 2 end of the same recursion), the discrete-time simultaneous-merger
 transition matrix for alpha in [0, 1) (the Poisson-Dirichlet(alpha, -beta)
 block-count law, built by one recursion that also covers the alpha = 0
 Stirling-number case), and the leading-order coalescence probability in
@@ -65,17 +66,31 @@ def _require_lambda_regime(params: Params) -> None:
         )
 
 
-def _beta_moments(params: Params, m_max: int) -> np.ndarray:
-    """I_m = E(1-X)^m, m = 0..m_max, for X ~ beta(2-alpha, alpha-beta).
+def beta_shape(params: Params) -> tuple[float, float]:
+    """(a, b) of the beta(2-a, a-b) measure whose recursion gives the rates.
 
-    Ratio recursion I_m / I_(m-1) = (alpha-beta+m-1)/(1-beta+m), I_0 = 1.
-    Every total, block-loss and single-merger rate of the measure is a
-    partial sum of these: lambda_(i+1) = lambda_i + i I_(i-1),
-    r(i+1) = r(i) + sum_(m<i) I_m, lambda_2 = r(2) = 1, and the binary
-    rate is C(i, 2) I_(i-2).
+    alpha >= 2 is Kingman's coalescent, the point mass at 0 that ends the
+    family at a = 2. There (2, 0) makes every ratio below exact (at
+    (2, beta) a term ratio can be 0/0), so binary rates are C(i, 2).
     """
-    _require_lambda_regime(params)
-    a, b = params.alpha, params.beta
+    if params.regime == "xi":
+        raise ValueError("no continuous-time rates in the xi regime")
+    if params.alpha >= 2.0:
+        return 2.0, 0.0
+    return params.alpha, params.beta
+
+
+def _beta_moments(params: Params, m_max: int) -> np.ndarray:
+    """I_m = E(1-X)^m, m = 0..m_max, for X ~ beta(2-a, a-b).
+
+    Ratio recursion I_m / I_(m-1) = (a-b+m-1)/(1-b+m), I_0 = 1, with
+    (a, b) = beta_shape(params); I_m = 1 for Kingman. Every total,
+    block-loss and single-merger rate of the measure is a partial sum of
+    these: lambda_(i+1) = lambda_i + i I_(i-1), r(i+1) = r(i) +
+    sum_(m<i) I_m, lambda_2 = r(2) = 1, and the binary rate is
+    C(i, 2) I_(i-2).
+    """
+    a, b = beta_shape(params)
     m = np.arange(1, m_max + 1, dtype=float)
     ratios = (a - b + m - 1.0) / (1.0 - b + m)
     return np.concatenate(([1.0], np.cumprod(ratios)))
@@ -85,31 +100,18 @@ def lambda_rate(params: Params, i: int, j: int) -> float:
     """Rate of an i-to-j merger for the beta(2-alpha, alpha-beta) measure.
 
     lambda_(i,j) = C(i, j-1) B(i-j+1-alpha, alpha-beta+j-1) / B(2-alpha, alpha-beta),
-    read off lambda_row.
+    read off rate_row.
     """
     _require_lambda_regime(params)
     if i < 2 or not 1 <= j < i:
         raise ValueError("need i >= 2 and 1 <= j < i")
-    return float(lambda_row(params, i)[j - 1])
+    return float(rate_row(params, i)[j - 1])
 
 
 def lambda_row(params: Params, i: int) -> np.ndarray:
-    """All rates lambda_(i, 1..i-1) from the ratio recursion.
-
-    The binary rate is lambda_(i,2) = C(i, 2) I_(i-2) (see _beta_moments);
-    the term ratio lambda_(i,k+1)/lambda_(i,k) =
-    (i-k)(k-alpha) / ((k+1)(i-k-1+alpha-beta)) carries it up to k = i
-    merging blocks. Entry j-1 holds the i-to-j merger, k = i-j+1.
-    """
+    """rate_row for alpha in [1, 2) only."""
     _require_lambda_regime(params)
-    if i < 2:
-        raise ValueError("i >= 2 required")
-    a, b = params.alpha, params.beta
-    k = np.arange(2, i, dtype=float)
-    ratios = (i - k) * (k - a) / ((k + 1.0) * (i - k - 1.0 + a - b))
-    first = i * (i - 1) / 2.0 * _beta_moments(params, i - 2)[-1]
-    terms = first * np.concatenate(([1.0], np.cumprod(ratios)))
-    return terms[::-1].copy()  # a row of its own, not a reversed view
+    return rate_row(params, i)
 
 
 def kingman_rate(i: int, j: int) -> float:
@@ -119,19 +121,39 @@ def kingman_rate(i: int, j: int) -> float:
     return float(i * (i - 1) // 2) if j == i - 1 else 0.0
 
 
-def _kingman_row(i: int) -> np.ndarray:
-    row = np.zeros(i - 1)
-    row[-1] = i * (i - 1) / 2.0
-    return row
-
-
 def rate_row(params: Params, i: int) -> np.ndarray:
-    """Dispatch on regime: multiple-merger row or Kingman row."""
-    if params.regime in ("bs", "beta"):
-        return lambda_row(params, i)
-    if params.regime in ("critical", "kingman"):
-        return _kingman_row(i)
-    raise ValueError("no continuous-time rates in the xi regime")
+    """All rates lambda_(i, 1..i-1) from the ratio recursion.
+
+    The binary rate is lambda_(i,2) = C(i, 2) I_(i-2) (see _beta_moments);
+    the term ratio lambda_(i,k+1)/lambda_(i,k) =
+    (i-k)(k-a) / ((k+1)(i-k-1+a-b)) carries it up to k = i merging
+    blocks, with (a, b) = beta_shape(params); at (2, 0) it is 0 from
+    k = 2 on. Entry j-1 holds the i-to-j merger, k = i-j+1.
+    """
+    if i < 2:
+        raise ValueError("i >= 2 required")
+    a, b = beta_shape(params)
+    k = np.arange(2, i, dtype=float)
+    ratios = (i - k) * (k - a) / ((k + 1.0) * (i - k - 1.0 + a - b))
+    first = i * (i - 1) / 2.0 * _beta_moments(params, i - 2)[-1]
+    terms = first * np.concatenate(([1.0], np.cumprod(ratios)))
+    return terms[::-1].copy()  # a row of its own, not a reversed view
+
+
+def jump_rates(params: Params, n0: int) -> tuple[memoryview, memoryview]:
+    """Total rates lambda_i and binary-merger rates lambda_(i,2), i <= n0.
+
+    Index i holds block count i (entries 0 and 1 are unused); both are
+    partial sums of _beta_moments, so no rate row is built. Memoryviews
+    index to plain floats without a per-entry object.
+    """
+    i = np.arange(n0 + 1, dtype=float)
+    moments = _beta_moments(params, n0 - 2)
+    total = np.ones(n0 + 1)
+    total[3:] += np.cumsum(i[2:-1] * moments[1:])
+    binary = np.zeros(n0 + 1)
+    binary[2:] = i[2:] * (i[2:] - 1.0) / 2.0 * moments
+    return memoryview(total), memoryview(binary)
 
 
 def total_rate(params: Params, i: int) -> float:
@@ -151,10 +173,7 @@ def mean_first_collision_size(params: Params, i: int) -> float:
 
     Uses the identity r(i) = lambda_i (E(U_i) - 1).
     """
-    row = rate_row(params, i)
-    j = np.arange(1, i)
-    lam = row.sum()
-    return float(1.0 + ((i - j) * row).sum() / lam)
+    return 1.0 + block_loss_rate(params, i) / total_rate(params, i)
 
 
 def comes_down_diagnostic(params: Params, M: int) -> np.ndarray:
@@ -166,9 +185,6 @@ def comes_down_diagnostic(params: Params, M: int) -> np.ndarray:
     """
     if M < 2:
         raise ValueError("M >= 2 required")
-    if params.regime in ("critical", "kingman"):
-        i = np.arange(2, M + 1, dtype=float)
-        return np.cumsum(2.0 / (i * (i - 1.0)))
     steps = np.cumsum(_beta_moments(params, M - 2))[1:]
     r = np.concatenate(([1.0], 1.0 + np.cumsum(steps)))
     return np.cumsum(1.0 / r)
@@ -189,6 +205,8 @@ class RateTable:
     def __post_init__(self):
         if self.kind not in ("rates", "probabilities"):
             raise ValueError("kind must be 'rates' or 'probabilities'")
+        for row in self._rows.values():
+            row.flags.writeable = False
         if self.kind == "probabilities":
             for i, row in self._rows.items():
                 if i >= 2 and abs(row.sum() - 1.0) > 1e-10:
@@ -216,13 +234,13 @@ class RateTable:
         return "\n".join(lines) + "\n"
 
 
-_I_MAX_HARD_CAP = 2000  # a table holds i_max^2 / 2 doubles
+I_MAX_CAP = 2000  # a table holds i_max^2 / 2 doubles
 
 
 def build_rate_table(params: Params, i_max: int) -> RateTable:
     """Materialized continuous-time rate table for i = 2..i_max."""
-    if not 2 <= i_max <= _I_MAX_HARD_CAP:
-        raise ValueError(f"i_max must be in 2..{_I_MAX_HARD_CAP}, got {i_max}")
+    if not 2 <= i_max <= I_MAX_CAP:
+        raise ValueError(f"i_max must be in 2..{I_MAX_CAP}, got {i_max}")
     rows = {i: rate_row(params, i) for i in range(2, i_max + 1)}
     return RateTable(i_max=i_max, kind="rates", _rows=rows)
 
@@ -239,8 +257,8 @@ def _pd_block_counts(alpha: float, theta: float, i_max: int) -> RateTable:
     / (theta + n), P(1, 1) = 1. With theta > -alpha every term is
     nonnegative, so nothing cancels.
     """
-    if not 1 <= i_max <= _I_MAX_HARD_CAP:
-        raise ValueError(f"i_max must be in 1..{_I_MAX_HARD_CAP}, got {i_max}")
+    if not 1 <= i_max <= I_MAX_CAP:
+        raise ValueError(f"i_max must be in 1..{I_MAX_CAP}, got {i_max}")
     rows = {1: np.array([1.0])}
     for n in range(1, i_max):
         prev = rows[n]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_mc import BlockState
-from .rates import Params, _beta_moments
-from .samplers import RngStream
+from .rates import Params, beta_shape, jump_rates
+from .samplers import RngStream, batched
 from .weighted import mean_estimate
 
 _MAX_EVENTS = 10_000_000
@@ -37,25 +37,6 @@ class TreeFunctionals:
 class DiscreteFunctionals:
     steps: int
     collisions: int
-
-
-def _jump_rates(params: Params, n0: int) -> tuple[memoryview, memoryview]:
-    """Total rates lambda_i and binary-merger rates lambda_(i,2), i <= n0.
-
-    Index i holds block count i (entries 0 and 1 are unused); both come
-    from partial sums of rates._beta_moments, so no rate row is built.
-    Memoryviews index to plain floats without a per-entry object.
-    """
-    i = np.arange(n0 + 1, dtype=float)
-    if params.regime in ("critical", "kingman"):
-        pairs = memoryview(i * (i - 1.0) / 2.0)
-        return pairs, pairs
-    moments = _beta_moments(params, n0 - 2)
-    total = np.ones(n0 + 1)
-    total[3:] += np.cumsum(i[2:-1] * moments[1:])
-    binary = np.zeros(n0 + 1)
-    binary[2:] = i[2:] * (i[2:] - 1.0) / 2.0 * moments
-    return memoryview(total), memoryview(binary)
 
 
 def _merger_size(
@@ -87,19 +68,19 @@ def simulate_lambda(
     """One continuous-time trajectory from n0 blocks down to 1.
 
     params picks the beta(2-alpha, alpha-beta) multiple-merger rates
-    (alpha in [1, 2)) or binary mergers (alpha >= 2). The merger size is
-    drawn by inverse CDF from the ratio recursion of _merger_size, so the
-    work per event is O(merger size) and no rate row is kept. Singleton
+    (alpha in [1, 2)) or binary mergers (alpha >= 2, the recursion's
+    alpha = 2 end). The merger size is drawn by inverse CDF from the
+    ratio recursion of _merger_size, with (a, b) from rates.beta_shape, so
+    the work per event is O(merger size) and no rate row is kept. Singleton
     blocks are tracked separately so external branch length is exact: the
     number of singletons joining each collision is hypergeometric among
     the blocks, which is the exchangeability-consistent allocation.
     """
-    if params.regime == "xi":
-        raise ValueError("simulate_lambda needs alpha >= 1 (xi regime given)")
     if n0 < 2:
         raise ValueError("n0 >= 2 required")
-    total, binary = _jump_rates(params, n0)
-    a, ab = params.alpha, params.alpha - params.beta
+    total, binary = jump_rates(params, n0)
+    a, b = beta_shape(params)
+    ab = a - b
     gen = rng.gen
     i = n0
     singles = n0
@@ -178,48 +159,6 @@ def simulate_xi(
     return tuple(states), DiscreteFunctionals(steps=steps, collisions=collisions)
 
 
-def kingman_functionals(
-    n0: int, replicas: int, rng: RngStream
-) -> dict[str, np.ndarray]:
-    """Vectorized batch of Kingman trajectories (binary mergers only).
-
-    The block chain is deterministic (i -> i-1), so all replicas advance in
-    lockstep and every functional reduces to array operations.
-    """
-    if n0 < 2:
-        raise ValueError("n0 >= 2 required")
-    gen = rng.gen
-    ivals = np.arange(n0, 1, -1, dtype=float)
-    lam = ivals * (ivals - 1.0) / 2.0
-    T = gen.standard_exponential((replicas, n0 - 1)) / lam[None, :]
-    height = T.sum(axis=1)
-    total = T @ ivals
-    singles = np.full(replicas, n0, dtype=float)
-    alive = np.ones(replicas, dtype=bool)
-    ext = np.zeros(replicas)
-    tagged = np.zeros(replicas)
-    for step, i in enumerate(ivals):
-        t = T[:, step]
-        ext += singles * t
-        tagged += np.where(alive, t, 0.0)
-        pairs = i * (i - 1.0) / 2.0
-        p2 = singles * (singles - 1.0) / 2.0 / pairs
-        p1 = singles * (i - singles) / pairs
-        u = gen.random(replicas)
-        m = np.where(u < p2, 2.0, np.where(u < p2 + p1, 1.0, 0.0))
-        u2 = gen.random(replicas)
-        dies = alive & (u2 * np.maximum(singles, 1.0) < m)
-        alive &= ~dies
-        singles -= m
-    return {
-        "height": height,
-        "total_length": total,
-        "external_length": ext,
-        "collisions": np.full(replicas, n0 - 1, dtype=float),
-        "random_external_branch": tagged,
-    }
-
-
 _FUNCTIONALS = (
     "height",
     "total_length",
@@ -227,6 +166,70 @@ _FUNCTIONALS = (
     "collisions",
     "random_external_branch",
 )
+
+
+def kingman_functionals(
+    n0: int, replicas: int, rng: RngStream
+) -> dict[str, np.ndarray]:
+    """Vectorized batch of Kingman trajectories (binary mergers only).
+
+    The block chain is deterministic (i -> i-1), so all replicas advance in
+    lockstep and every functional reduces to array operations. Replicas go
+    through samplers.batched, so one batch holds about 2^24 holding times.
+    """
+    if n0 < 2:
+        raise ValueError("n0 >= 2 required")
+    gen = rng.gen
+    ivals = np.arange(n0, 1, -1, dtype=float)
+    lam = ivals * (ivals - 1.0) / 2.0
+    out = {name: np.empty(replicas) for name in _FUNCTIONALS}
+    out["collisions"][:] = n0 - 1
+    done = 0
+    for size in batched(replicas, n0 - 1):
+        rows = slice(done, done + size)
+        done += size
+        T = gen.standard_exponential((size, n0 - 1))
+        T /= lam  # in place: one batch of holding times, not two
+        out["height"][rows] = T.sum(axis=1)
+        out["total_length"][rows] = T @ ivals
+        singles = np.full(size, n0, dtype=float)
+        alive = np.ones(size, dtype=bool)
+        ext = np.zeros(size)
+        tagged = np.zeros(size)
+        for step, i in enumerate(ivals):
+            t = T[:, step]
+            ext += singles * t
+            tagged += np.where(alive, t, 0.0)
+            pairs = i * (i - 1.0) / 2.0
+            p2 = singles * (singles - 1.0) / 2.0 / pairs
+            p1 = singles * (i - singles) / pairs
+            u = gen.random(size)
+            m = np.where(u < p2, 2.0, np.where(u < p2 + p1, 1.0, 0.0))
+            u2 = gen.random(size)
+            dies = alive & (u2 * np.maximum(singles, 1.0) < m)
+            alive &= ~dies
+            singles -= m
+        out["external_length"][rows] = ext
+        out["random_external_branch"][rows] = tagged
+    return out
+
+
+def family_params(family: str, alpha: float | None, beta: float) -> Params:
+    """The Params of a continuous-time family name.
+
+    "kingman" is alpha = 2, where the beta measure is the point mass at 0
+    (any alpha >= 2 gives the same rates); "bs" is alpha = 1; "beta"
+    needs alpha in (1, 2).
+    """
+    if family == "kingman":
+        return Params(2.0, beta)
+    if family == "bs":
+        return Params(1.0, beta)
+    if family == "beta":
+        if alpha is None or not 1.0 < alpha < 2.0:
+            raise ValueError(f"beta family requires alpha in (1, 2), got {alpha}")
+        return Params(alpha, beta)
+    raise ValueError(f"unknown family {family!r}")
 
 
 def _asymptotic_reference(family: str, alpha: float | None, n0: int):
@@ -284,14 +287,7 @@ def functional_scaling_report(
     """
     if replicas < 2:
         raise ValueError(f"replicas >= 2 required, got {replicas}")
-    if family == "beta":
-        if alpha is None or not 1.0 < alpha < 2.0:
-            raise ValueError("beta family requires alpha in (1, 2)")
-        params = Params(alpha, beta)
-    elif family == "bs":
-        params = Params(1.0, beta)
-    elif family != "kingman":
-        raise ValueError(f"unknown family {family!r}")
+    params = family_params(family, alpha, beta)
 
     rows: list[FunctionalReportRow] = []
     for idx, n0 in enumerate(sorted(sizes)):

@@ -205,6 +205,26 @@ class TestSimulateCommand:
             assert rows[0][1] == n0
             assert rows[-1][1] == "1"
 
+    def test_trajectory_validates_like_the_report(self, tmp_path, capsys):
+        # One family rule: alpha = 2.5 is no beta family, dumped or reported.
+        for extra in ([], ["--trajectory"]):
+            rc, text = run_cli(
+                ["simulate", "--family", "beta", "--alpha", "2.5", "--N", "50",
+                 *extra],
+                tmp_path,
+            )
+            assert rc == 2 and text == ""
+            assert "alpha" in capsys.readouterr().err
+
+    def test_xi_trajectory_cap_names_N(self, tmp_path, capsys):
+        rc, text = run_cli(
+            ["simulate", "--family", "xi", "--alpha", "0.5", "--N", "2001",
+             "--trajectory"],
+            tmp_path,
+        )
+        assert rc == 2 and text == ""
+        assert "--N" in capsys.readouterr().err
+
     def test_too_few_replicas_exit_two(self, tmp_path, capsys):
         for family in (["beta", "--alpha", "1.5"], ["kingman"]):
             for replicas in ("-3", "0", "1"):

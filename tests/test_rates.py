@@ -27,6 +27,7 @@ from paretocoal.rates import (
     build_rate_table,
     c_N_asymptotic,
     comes_down_diagnostic,
+    jump_rates,
     kingman_rate,
     lambda_rate,
     lambda_row,
@@ -37,7 +38,6 @@ from paretocoal.rates import (
     total_rate,
     xi_transition_matrix,
 )
-from paretocoal.simulate import _jump_rates
 
 PAIRS = [(1.0, 0.0), (1.0, -1.0), (1.25, 0.0), (1.5, 0.75), (1.5, -2.0), (1.75, 0.0)]
 
@@ -113,6 +113,29 @@ class TestLambdaRate:
             lambda_rate(Params(3.0, 0.0), 3, 1)
         with pytest.raises(ValueError):
             lambda_rate(Params(1.5, 0.0), 3, 3)
+
+
+class TestKingmanEnd:
+    # For alpha >= 2 the measure is the point mass at 0, the alpha = 2 end
+    # of the beta recursion. Evaluated at (2, 0) it has I_m = 1 and a term
+    # ratio of exactly 0 from k = 2, so every rate is C(i, 2) or 0 to the
+    # bit, whatever beta is; beta = i - 1 would make the ratio at
+    # (alpha, beta) = (2, i - 1) itself 0/0.
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 50.0])
+    @pytest.mark.parametrize("beta", [-3.0, 0.0, 5.0, "i-1"])
+    def test_binary_rates_are_exact(self, alpha, beta):
+        for i in (2, 3, 4, 7, 60, 2000):
+            p = Params(alpha, i - 1.0 if beta == "i-1" else beta)
+            kingman = np.array([kingman_rate(i, j) for j in range(1, i)])
+            assert np.array_equal(rate_row(p, i), kingman)
+            m = np.arange(2, i + 1, dtype=float)
+            pairs = np.array([float(n * (n - 1) // 2) for n in range(2, i + 1)])
+            total, binary = jump_rates(p, i)
+            assert np.array_equal(np.asarray(total)[2:], pairs)
+            assert np.array_equal(np.asarray(binary)[2:], pairs)
+            assert np.array_equal(
+                comes_down_diagnostic(p, i), np.cumsum(2.0 / (m * (m - 1.0)))
+            )
 
 
 class TestKingman:
@@ -228,7 +251,7 @@ class TestRatioRecursion:
         assert total == pytest.approx(math.fsum(row), rel=1e-11)
         assert i * (i - 1) / 2.0 * moments[i - 2] == pytest.approx(row[-1], rel=1e-11)
         assert loss == pytest.approx(math.fsum((k - 1.0) * row), rel=1e-11)
-        sim_total, sim_binary = _jump_rates(p, i)
+        sim_total, sim_binary = jump_rates(p, i)
         assert sim_total[i] == pytest.approx(total, rel=1e-13)
         assert sim_binary[i] == pytest.approx(row[-1], rel=1e-11)
         # lambda_(i,k+1)/lambda_(i,k) = (i-k)(k-alpha) / ((k+1)(i-k-1+alpha-beta))
@@ -434,7 +457,7 @@ class TestTables:
         # with the materialized table, in both rate regimes.
         for p in (Params(1.25, -0.5), Params(3.0, 0.0)):
             t = build_rate_table(p, 12)
-            total, binary = _jump_rates(p, 12)
+            total, binary = jump_rates(p, 12)
             for i in (2, 7, 12):
                 assert_allclose(rate_row(p, i), t.row(i))
                 assert_allclose(total[i], t.total(i), rtol=1e-13)
@@ -445,8 +468,18 @@ class TestTables:
             with pytest.raises(ValueError, match="2000"):
                 build_rate_table(p, 2001)
         t = build_rate_table(Params(1.0, 0.0), 2000)
-        total, _ = _jump_rates(Params(1.0, 0.0), 2000)
+        total, _ = jump_rates(Params(1.0, 0.0), 2000)
         assert t.total(2000) == pytest.approx(total[2000], rel=1e-12)
+
+    def test_rows_are_read_only(self):
+        for t in (
+            build_rate_table(Params(1.5, 0.0), 6),
+            xi_transition_matrix(Params(0.5, 0.0), 6),
+        ):
+            before = t.entry(4, 1)
+            with pytest.raises(ValueError, match="read-only"):
+                t.row(4)[0] = 99.0
+            assert t.entry(4, 1) == before
 
     def test_csv_contains_simple_pair_row(self):
         m = xi_transition_matrix(Params(0.5, 0.0), 2)

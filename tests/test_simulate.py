@@ -11,12 +11,12 @@ from oracles import (
     kingman_tagged_branch_exact,
     lambda_row_betaln,
 )
-from paretocoal.rates import Params
+from paretocoal.rates import Params, jump_rates
+from paretocoal import samplers
 from paretocoal.samplers import RngStream
 from paretocoal.simulate import (
     functional_scaling_report,
     kingman_functionals,
-    _jump_rates,
     _merger_size,
     simulate_lambda,
     simulate_xi,
@@ -115,7 +115,7 @@ class TestSimulateLambda:
         # cumulative betaln row would pick with u itself.
         us = np.random.default_rng(0).random(500)
         for params in (Params(1.5, 0.3), Params(1.0, 0.0), Params(1.9, -2.0)):
-            total, binary = _jump_rates(params, 60)
+            total, binary = jump_rates(params, 60)
             a, ab = params.alpha, params.alpha - params.beta
             for i in (2, 3, 9, 60):
                 cum = np.cumsum(lambda_row_betaln(params.alpha, params.beta, i))
@@ -146,6 +146,16 @@ class TestSimulateLambda:
             vals = np.array([getattr(fn, name) for fn in fns], dtype=float)
             se = vals.std(ddof=1) / math.sqrt(reps)
             assert abs(vals.mean() - want) < 4.5 * max(se, 1e-12), name
+
+    def test_every_alpha_from_two_is_one_process(self):
+        # alpha >= 2 runs the recursion at its alpha = 2 end whatever beta
+        # is, so one seed gives one tree.
+        runs = [
+            simulate_lambda(p, 30, RngStream(72))
+            for p in (Params(2.0, 0.0), Params(2.0, 29.0), Params(3.0, -3.0),
+                      Params(50.0, 5.0))
+        ]
+        assert all(run == runs[0] for run in runs)
 
     def test_memory_stays_linear_in_n0(self):
         # No rate row per visited block count: from 10^5 blocks the
@@ -186,6 +196,22 @@ class TestKingmanBatch:
     def test_collisions_constant(self):
         batch = kingman_functionals(15, 100, RngStream(59))
         assert np.all(batch["collisions"] == 14)
+
+    def test_batches_bound_memory(self, monkeypatch):
+        # All holding times at once would be 2000 x 199 doubles (3.2 MB);
+        # batches of about 2^12 draws leave the five output arrays (80 kB).
+        monkeypatch.setattr(samplers, "_BATCH_ELEMENTS", 1 << 12)
+        tracemalloc.start()
+        try:
+            batch = kingman_functionals(200, 2000, RngStream(71))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.all(batch["collisions"] == 199)
+        vals = batch["random_external_branch"]
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - 0.01) < 3 * se  # 2/200
 
     def test_tagged_mean(self):
         batch = kingman_functionals(8, 50_000, RngStream(60))
