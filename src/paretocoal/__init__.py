@@ -28,7 +28,6 @@ from .forward import (
     legendre,
     pressure,
     speed_estimate,
-    step,
     trajectory,
 )
 from .rates import (
@@ -113,7 +112,6 @@ __all__ = [
     "simulate_xi",
     "speed_estimate",
     "standardized_sum_stats",
-    "step",
     "stirling_case_matrix",
     "total_rate",
     "trajectory",

@@ -59,7 +59,6 @@ class ExperimentConfig:
     trajectory: bool = False
     kind: str | None = None
     out: str | None = None
-    fmt: str = "csv"
 
     def serialize(self) -> str:
         d = {
@@ -83,7 +82,7 @@ def _provenance(config: ExperimentConfig) -> str:
     params = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in dataclasses.asdict(config).items()
-        if v is not None and k not in ("out", "fmt", "seed", "command")
+        if v is not None and k not in ("out", "seed", "command")
     }
     return (
         f"# seed={config.seed}, params={json.dumps(params, sort_keys=True)}, "
@@ -303,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trajectory", action="store_true", default=None)
         sp.add_argument("--kind", choices=["trajectory", "speed", "pressure"])
         sp.add_argument("--out")
-        sp.add_argument("--format", dest="fmt", choices=["csv"])
     return p
 
 
@@ -327,8 +325,6 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         merged["N_grid"] = tuple(merged["N_grid"])
     if merged.get("seed") is None:
         merged["seed"] = 0
-    if merged.get("fmt") is None:
-        merged["fmt"] = "csv"
     if merged.get("trajectory") is None:
         merged["trajectory"] = False
     return ExperimentConfig(command=args.command, **merged)

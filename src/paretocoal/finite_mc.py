@@ -100,15 +100,16 @@ def _segment_hits(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms to segment indices, rows independent.
 
     x is (b, N) positive segment weights, u is (b, i) uniforms in [0, 1).
-    Rows are offset to disjoint unit intervals so one flat searchsorted
-    handles the whole batch.
+    x is overwritten: it ends as the offset cumulative sums. Rows are
+    offset to disjoint unit intervals so one flat searchsorted handles the
+    whole batch.
     """
     b = x.shape[0]
-    cum = np.cumsum(x, axis=1)
+    cum = np.cumsum(x, axis=1, out=x)
     cum /= cum[:, -1:]
     off = np.arange(b)[:, None]
-    flat = (cum + off).ravel()
-    idx = np.searchsorted(flat, (u + off).ravel(), side="left")
+    cum += off
+    idx = np.searchsorted(cum.ravel(), (u + off).ravel(), side="left")
     return idx.reshape(u.shape)
 
 

@@ -87,40 +87,37 @@ def initial_state(config: ForwardConfig) -> ForwardState:
     )
 
 
-def _one_generation(config: ForwardConfig, rng: RngStream):
-    """Arrival times of the first N+1 offspring of the pooled process.
+def _arrival_blocks(config: ForwardConfig, rng: RngStream):
+    """Arrival rows of every generation, one (b, N+1) block at a time."""
+    for b in batched(config.generations, config.N + 1):
+        yield poisson_arrivals(b, config.N + 1, rng)
 
-    Returns (log point-sum increment, log tau_1, arrivals). The increment
-    ln(sum tau_n^-1)/alpha, n <= N, updates the global fitness; pathwise it
-    equals the recursion through tau_(N+1) and N unit-Pareto draws.
+
+def _log_increments(tau: np.ndarray, alpha: float):
+    """Per-row (log point-sum increment, log tau_1); overwrites tau[:, :-1].
+
+    The increment ln(sum tau_n^-1)/alpha, n <= N, updates the global
+    fitness; pathwise it equals the recursion through tau_(N+1) and N
+    unit-Pareto draws.
     """
-    tau = poisson_arrivals(config.N + 1, rng)
-    incr = math.log(np.reciprocal(tau[:-1]).sum()) / config.alpha
-    return incr, math.log(tau[0]), tau
+    log_tau1 = np.log(tau[:, 0])
+    inv = np.reciprocal(tau[:, :-1], out=tau[:, :-1])
+    return np.log(inv.sum(axis=1)) / alpha, log_tau1
 
 
-def _next_state(
-    state: ForwardState, config: ForwardConfig, incr: float, log_tau1: float
-) -> ForwardState:
-    log_global = state.log_global + incr
-    return ForwardState(
-        k=state.k + 1,
-        log_global=log_global,
-        log_holder_mean=log_global - math.log(config.N) / config.alpha,
-        log_fittest=state.log_global - log_tau1 / config.alpha,
-    )
-
-
-def step(state: ForwardState, config: ForwardConfig, rng: RngStream) -> ForwardState:
-    """Advance one generation; overflow-proof because only logs move."""
-    incr, log_tau1, _ = _one_generation(config, rng)
-    return _next_state(state, config, incr, log_tau1)
+def _walk(start: ForwardState, config: ForwardConfig, incr, log_tau1):
+    """The states after start, one per increment; only logs move."""
+    g = np.cumsum(np.concatenate(([start.log_global], incr)))
+    h = g[1:] - math.log(config.N) / config.alpha
+    f = g[:-1] - log_tau1 / config.alpha
+    k = range(start.k + 1, start.k + 1 + incr.size)
+    return list(map(ForwardState, k, g[1:].tolist(), h.tolist(), f.tolist()))
 
 
 def trajectory(config: ForwardConfig, rng: RngStream) -> list[ForwardState]:
     states = [initial_state(config)]
-    for _ in range(config.generations):
-        states.append(step(states[-1], config, rng))
+    for tau in _arrival_blocks(config, rng):
+        states += _walk(states[-1], config, *_log_increments(tau, config.alpha))
     return states
 
 
@@ -130,26 +127,29 @@ def explicit_fitnesses(
     """One generation materializing the N selected fitnesses.
 
     The returned vector is decreasing: fitness n is exp(log_global) times
-    tau_n^(-1/alpha). Shares the draws with step(), so summaries recomputed
-    from the vector coincide pathwise with the log-space recursion. Raises
-    OverflowError once the top fitness passes the largest double.
+    tau_n^(-1/alpha). Draws one arrival row as trajectory() does, so
+    summaries recomputed from the vector coincide pathwise with the
+    log-space recursion. Raises OverflowError once the top fitness passes
+    the largest double.
     """
-    incr, log_tau1, tau = _one_generation(config, rng)
-    log_fit = state.log_global - np.log(tau[:-1]) / config.alpha
+    tau = poisson_arrivals(1, config.N + 1, rng)
+    log_fit = state.log_global - np.log(tau[0, :-1]) / config.alpha
     if log_fit[0] > _LOG_MAX_DOUBLE:
         raise OverflowError(
             f"log fitness {log_fit[0]:.1f} at generation {state.k + 1} exceeds "
-            f"ln(max double) = {_LOG_MAX_DOUBLE:.1f}; step() stays in log space"
+            f"ln(max double) = {_LOG_MAX_DOUBLE:.1f}; trajectory() stays in "
+            f"log space"
         )
-    return _next_state(state, config, incr, log_tau1), np.exp(log_fit)
+    (nxt,) = _walk(state, config, *_log_increments(tau, config.alpha))
+    return nxt, np.exp(log_fit)
 
 
 def increments(config: ForwardConfig, rng: RngStream) -> np.ndarray:
     """All per-generation log increments of one trajectory, vectorized."""
-    k, n = config.generations, config.N
-    e = rng.gen.standard_exponential((k, n + 1))
-    tau = np.cumsum(e, axis=1)
-    return np.log(np.reciprocal(tau[:, :-1]).sum(axis=1)) / config.alpha
+    return np.concatenate(
+        [_log_increments(tau, config.alpha)[0]
+         for tau in _arrival_blocks(config, rng)]
+    )
 
 
 def speed_estimate(

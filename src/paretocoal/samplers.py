@@ -43,10 +43,10 @@ class RngStream:
         """Derive an independent child stream; deterministic in (self, j)."""
         return RngStream(self.seed, self.stream_index * 1_000_003 + j + 1)
 
-    def uniform_open(self, size=None):
+    def uniform_open(self, size) -> np.ndarray:
         """Uniforms on (0, 1]: never 0, so inverse-CDF maps stay finite."""
         u = self.gen.random(size)
-        return 1.0 - u
+        return np.subtract(1.0, u, out=u)
 
 
 # Replica batches are sized so one batch holds about this many doubles.
@@ -63,24 +63,28 @@ def batched(replicas: int, N: int):
         done += b
 
 
-def pareto_sample(alpha: float, rng: RngStream, size=None):
+def pareto_sample(alpha: float, rng: RngStream, size) -> np.ndarray:
     """Pareto(alpha) variates on [1, inf) with tail P(X > x) = x^-alpha.
 
     Inverse CDF: X = U^(-1/alpha) with U uniform on (0, 1].
     """
     if alpha <= 0:
         raise ValueError("pareto_sample requires alpha > 0")
-    return rng.uniform_open(size) ** (-1.0 / alpha)
+    u = rng.uniform_open(size)
+    u **= -1.0 / alpha
+    return u
 
 
-def poisson_arrivals(count: int, rng: RngStream) -> np.ndarray:
-    """First `count` arrival times of a unit-rate Poisson process.
+def poisson_arrivals(rows: int, count: int, rng: RngStream) -> np.ndarray:
+    """Arrival times of independent unit-rate Poisson processes, one a row.
 
-    Returned strictly increasing; the n-th entry is Erlang gamma(n).
+    Row r holds the first `count` arrivals of process r, strictly
+    increasing; entry n is Erlang gamma(n).
     """
     if count < 1:
         raise ValueError("poisson_arrivals requires count >= 1")
-    return rng.gen.standard_exponential(count).cumsum()
+    tau = rng.gen.standard_exponential((rows, count))
+    return np.cumsum(tau, axis=-1, out=tau)
 
 
 def frechet_sample(alpha: float, rng: RngStream, size=None):

@@ -240,7 +240,7 @@ def _asymptotic_reference(family: str, alpha: float | None, n0: int):
             "total_length": 2.0 * logn,
             "external_length": 2.0,
             "collisions": float(n0 - 1),
-            "random_external_branch": 1.0 / n0,
+            "random_external_branch": 2.0 / n0,
         }
     if family == "bs":
         return {

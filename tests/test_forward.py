@@ -16,10 +16,10 @@ from paretocoal.forward import (
     per_step_mean_parts,
     pressure,
     speed_estimate,
-    step,
     trajectory,
 )
 from paretocoal.finite_mc import PartitionModel, estimate_c_N_conditional
+from paretocoal import samplers
 from paretocoal.samplers import RngStream
 from paretocoal.weighted import WeightedEstimate, mean_estimate
 
@@ -70,14 +70,12 @@ class TestConfigAndState:
 
     def test_holder_mean_definition_invariant(self):
         cfg = ForwardConfig(N=64, alpha=1.5, generations=5)
-        st = initial_state(cfg)
-        rng = RngStream(70)
-        for _ in range(5):
-            st = step(st, cfg, rng)
+        states = trajectory(cfg, RngStream(70))
+        for st in states:
             assert st.log_holder_mean == pytest.approx(
                 st.log_global - math.log(64) / 1.5, abs=1e-12
             )
-        assert st.k == 5
+        assert states[-1].k == 5
 
     def test_trajectory_length(self):
         cfg = ForwardConfig(N=10, alpha=1.0, generations=7)
@@ -88,16 +86,16 @@ class TestConfigAndState:
 class TestLogSpaceConsistency:
     def test_explicit_mode_reproduces_log_recursion(self):
         # Materialized fitness vectors, re-aggregated in plain floating
-        # point, must agree with the pure log-space recursion pathwise.
+        # point, must agree with the pure log-space recursion pathwise, and
+        # iterating explicit_fitnesses walks the trajectory state for state.
         for N, alpha in [(4, 1.0), (8, 0.7), (6, 2.5)]:
             cfg = ForwardConfig(N=N, alpha=alpha, generations=5)
-            st_log = initial_state(cfg)
+            states = trajectory(cfg, RngStream(72, N))
             st_exp = initial_state(cfg)
-            rng_a = RngStream(72, N)
             rng_b = RngStream(72, N)
-            for _ in range(5):
-                st_log = step(st_log, cfg, rng_a)
+            for st_log in states[1:]:
                 st_exp, fits = explicit_fitnesses(st_exp, cfg, rng_b)
+                assert st_exp == st_log
                 holder = (np.sum(fits**alpha) / N) ** (1.0 / alpha)
                 assert math.exp(st_exp.log_holder_mean) == pytest.approx(
                     holder, abs=1e-10, rel=1e-10
@@ -106,7 +104,16 @@ class TestLogSpaceConsistency:
                 assert math.exp(st_exp.log_fittest) == pytest.approx(
                     fits[0], rel=1e-12
                 )
-            assert st_log.log_global == pytest.approx(st_exp.log_global, abs=1e-12)
+
+    def test_batch_size_does_not_change_the_path(self, monkeypatch):
+        # Arrival rows drawn across many small blocks consume the stream as
+        # one large block does, so every state is bitwise the same.
+        cfg = ForwardConfig(N=10, alpha=1.5, generations=300)
+        states = trajectory(cfg, RngStream(96))
+        incs = increments(cfg, RngStream(97))
+        monkeypatch.setattr(samplers, "_BATCH_ELEMENTS", 64)
+        assert trajectory(cfg, RngStream(96)) == states
+        assert np.array_equal(increments(cfg, RngStream(97)), incs)
 
     def test_scale_equivariance(self):
         cfg1 = ForwardConfig(N=5, alpha=1.2, generations=4)
@@ -292,7 +299,7 @@ class TestExplicitOverflow:
         # passes the largest double after about 350 generations.
         cfg = ForwardConfig(N=100, alpha=1.0, generations=1)
         st, rng = initial_state(cfg), RngStream(3)
-        with pytest.raises(OverflowError, match=r"ln\(max double\).*step\(\)"):
+        with pytest.raises(OverflowError, match=r"ln\(max double\).*trajectory\(\)"):
             for _ in range(1000):
                 st, fit = explicit_fitnesses(st, cfg, rng)
                 assert np.all(np.isfinite(fit))

@@ -77,7 +77,7 @@ class TestPareto:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            pareto_sample(0.0, RngStream(0))
+            pareto_sample(0.0, RngStream(0), 10)
 
 
 class TestGamma:
@@ -101,22 +101,22 @@ class TestGamma:
 class TestPoissonArrivals:
     def test_strictly_increasing(self):
         for k in range(20):
-            tau = poisson_arrivals(50, RngStream(7, k))
+            tau = poisson_arrivals(1, 50, RngStream(7, k))[0]
             assert np.all(np.diff(tau) > 0)
 
     def test_first_arrival_mean(self):
-        t1 = np.array([poisson_arrivals(1, RngStream(8, k))[0] for k in range(4000)])
+        t1 = np.array([poisson_arrivals(1, 1, RngStream(8, k))[0, 0] for k in range(4000)])
         se = t1.std(ddof=1) / math.sqrt(t1.size)
         assert abs(t1.mean() - 1.0) < 3 * se
 
     def test_fifth_arrival_mean(self):
-        t5 = np.array([poisson_arrivals(5, RngStream(9, k))[-1] for k in range(4000)])
+        t5 = np.array([poisson_arrivals(1, 5, RngStream(9, k))[0, -1] for k in range(4000)])
         se = t5.std(ddof=1) / math.sqrt(t5.size)
         assert abs(t5.mean() - 5.0) < 3 * se
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            poisson_arrivals(0, RngStream(0))
+            poisson_arrivals(1, 0, RngStream(0))
 
 
 class TestFrechet:

@@ -252,6 +252,17 @@ class TestFunctionalReport:
         assert by_name["collisions"].mean == pytest.approx(49.0)
         assert by_name["height"].reference == pytest.approx(2.0 * (1 - 1 / 50))
 
+    def test_kingman_tagged_branch_reference_is_exact_mean(self):
+        # A random external branch of Kingman's coalescent from n0 blocks
+        # has mean exactly 2/n0, so the ratio sits at 1 within noise.
+        rows = functional_scaling_report("kingman", [50, 200], 3000, RngStream(67))
+        for r in rows:
+            if r.functional != "random_external_branch":
+                continue
+            assert r.reference == pytest.approx(2.0 / r.n0, rel=1e-15)
+            assert r.reference == pytest.approx(kingman_tagged_branch_exact(r.n0))
+            assert abs(r.ratio - 1.0) < 3 * r.stderr / r.reference
+
     def test_bs_report_runs(self):
         rows = functional_scaling_report("bs", [60, 120], 300, RngStream(65))
         ratios = {
