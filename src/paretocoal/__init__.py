@@ -15,7 +15,6 @@ from .finite_mc import (
     PartitionModel,
     estimate_c_N,
     estimate_c_N_conditional,
-    estimate_p_ij,
     estimate_p_row,
     estimate_p_rows_nested,
     run_discrete_coalescent,
@@ -37,7 +36,6 @@ from .rates import (
     build_rate_table,
     c_N_asymptotic,
     comes_down_diagnostic,
-    kingman_rate,
     lambda_rate,
     lambda_row,
     mean_first_collision_size,
@@ -89,7 +87,6 @@ __all__ = [
     "comes_down_diagnostic",
     "estimate_c_N",
     "estimate_c_N_conditional",
-    "estimate_p_ij",
     "estimate_p_row",
     "estimate_p_rows_nested",
     "fit_c_N_scaling",
@@ -99,7 +96,6 @@ __all__ = [
     "gclt_constants",
     "initial_state",
     "kingman_functionals",
-    "kingman_rate",
     "lambda_rate",
     "lambda_row",
     "legendre",

@@ -38,8 +38,10 @@ class PartitionModel:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N >= 1 required")
+        if not abs(self.beta) < np.inf:
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.family == "pareto":
-            if self.alpha is None or self.alpha <= 0:
+            if self.alpha is None or not self.alpha > 0:
                 raise ValueError("pareto family requires alpha > 0")
             if self.alpha < 2.0 and not self.beta < self.alpha:
                 raise ValueError("beta < alpha required for alpha < 2")
@@ -53,7 +55,7 @@ class PartitionModel:
                     stacklevel=4,
                 )
         elif self.family == "gamma":
-            if self.theta is None or self.theta <= 0:
+            if self.theta is None or not self.theta > 0:
                 raise ValueError("gamma family requires theta > 0")
         else:
             raise ValueError(f"unknown family {self.family!r}")
@@ -120,15 +122,6 @@ def estimate_p_row(
     return estimate_p_rows_nested(model, [i], replicas, rng)[i]
 
 
-def estimate_p_ij(
-    model: PartitionModel, i: int, j: int, replicas: int, rng: RngStream
-) -> WeightedEstimate:
-    """Self-normalized estimate of the i-to-j merger probability."""
-    if not 1 <= j <= i:
-        raise ValueError("need 1 <= j <= i")
-    return estimate_p_row(model, i, replicas, rng)[j - 1]
-
-
 def estimate_p_rows_nested(
     model: PartitionModel, i_values: list[int], replicas: int, rng: RngStream
 ) -> dict[int, list[WeightedEstimate]]:
@@ -159,7 +152,7 @@ def estimate_p_rows_nested(
     rows = {i: accs[i].estimates() for i in i_values}
     for i, row in rows.items():
         for j, est in enumerate(row, start=1):
-            warn_if_degenerate(est, f"estimate_p_ij(i={i}, j={j})")
+            warn_if_degenerate(est, f"P(i={i}, j={j})")
     return rows
 
 
@@ -167,7 +160,7 @@ def estimate_c_N(
     model: PartitionModel, replicas: int, rng: RngStream
 ) -> WeightedEstimate:
     """Coalescence probability: two uniforms hit the same segment."""
-    return estimate_p_ij(model, 2, 1, replicas, rng)
+    return estimate_p_row(model, 2, replicas, rng)[0]
 
 
 def estimate_c_N_conditional(

@@ -40,13 +40,13 @@ class ForwardConfig:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N >= 2 required")
-        if self.alpha <= 0:
-            raise ValueError("alpha > 0 required")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha > 0 required, got {self.alpha}")
         if self.generations < 1:
             raise ValueError("generations >= 1 required")
         if self.initial_fitnesses is not None:
             x0 = np.asarray(self.initial_fitnesses, dtype=float)
-            if x0.shape != (self.N,) or np.any(x0 <= 0):
+            if x0.shape != (self.N,) or not np.all(x0 > 0):
                 raise ValueError("initial fitnesses must be N positive reals")
             object.__setattr__(self, "initial_fitnesses", x0)
 
@@ -87,9 +87,13 @@ def initial_state(config: ForwardConfig) -> ForwardState:
     )
 
 
+# Arrival rows shrink to two numbers at once; small blocks bound memory.
+_ARRIVAL_ELEMENTS = 1 << 16
+
+
 def _arrival_blocks(config: ForwardConfig, rng: RngStream):
     """Arrival rows of every generation, one (b, N+1) block at a time."""
-    for b in batched(config.generations, config.N + 1):
+    for b in batched(config.generations, config.N + 1, _ARRIVAL_ELEMENTS):
         yield poisson_arrivals(b, config.N + 1, rng)
 
 
@@ -164,10 +168,9 @@ def speed_estimate(
         raise ValueError("speed_estimate wants generations >= 100")
     if replicas < 2:
         raise ValueError(f"replicas >= 2 required, got {replicas}")
-    vals = np.empty(replicas)
-    for r in range(replicas):
-        vals[r] = increments(config, rng.substream(r)).mean()
-    return mean_estimate(vals)
+    return mean_estimate(
+        [increments(config, rng.substream(r)).mean() for r in range(replicas)]
+    )
 
 
 def per_step_mean_parts(
@@ -195,7 +198,7 @@ def per_step_mean_parts(
 
 def pressure(alpha: float, N: int, beta: float) -> float:
     """Cumulant scaling function of the log mean fitness, beta < alpha."""
-    if alpha <= 0 or N < 3:
+    if not alpha > 0 or N < 3:
         raise ValueError("need alpha > 0 and N >= 3")
     if not beta < alpha:
         raise ValueError("pressure requires beta < alpha")
@@ -272,6 +275,8 @@ def fittest_stats(
     as ratio = tau_1^(-1/alpha). The mean is only reported for alpha > 1
     (it is infinite otherwise).
     """
+    if replicas < 2:
+        raise ValueError(f"replicas >= 2 required, got {replicas}")
     ratio = frechet_sample(config.alpha, rng, replicas)
     med = float(np.median(ratio))
     if config.alpha > 1.0:

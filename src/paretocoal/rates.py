@@ -39,8 +39,10 @@ class Params:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha >= 0 required")
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha >= 0 required, got {self.alpha}")
+        if not abs(self.beta) < math.inf:
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.alpha < 2.0 and not self.beta < self.alpha:
             raise ValueError("beta < alpha required for alpha < 2")
 
@@ -114,13 +116,6 @@ def lambda_row(params: Params, i: int) -> np.ndarray:
     return rate_row(params, i)
 
 
-def kingman_rate(i: int, j: int) -> float:
-    """Binary-merger rates: C(i, 2) for j = i-1, zero otherwise."""
-    if i < 2 or not 1 <= j < i:
-        raise ValueError("need i >= 2 and 1 <= j < i")
-    return float(i * (i - 1) // 2) if j == i - 1 else 0.0
-
-
 def rate_row(params: Params, i: int) -> np.ndarray:
     """All rates lambda_(i, 1..i-1) from the ratio recursion.
 
@@ -147,6 +142,8 @@ def jump_rates(params: Params, n0: int) -> tuple[memoryview, memoryview]:
     partial sums of _beta_moments, so no rate row is built. Memoryviews
     index to plain floats without a per-entry object.
     """
+    if n0 < 2:
+        raise ValueError(f"block count >= 2 required, got {n0}")
     i = np.arange(n0 + 1, dtype=float)
     moments = _beta_moments(params, n0 - 2)
     total = np.ones(n0 + 1)
@@ -156,16 +153,22 @@ def jump_rates(params: Params, n0: int) -> tuple[memoryview, memoryview]:
     return memoryview(total), memoryview(binary)
 
 
+def _loss_rates(params: Params, i_max: int) -> np.ndarray:
+    """r(i), i = 2..i_max: r(2) = 1, r(i+1) = r(i) + sum_(m<i) I_m."""
+    if i_max < 2:
+        raise ValueError(f"block count >= 2 required, got {i_max}")
+    steps = np.cumsum(_beta_moments(params, i_max - 2))[1:]
+    return np.concatenate(([1.0], 1.0 + np.cumsum(steps)))
+
+
 def total_rate(params: Params, i: int) -> float:
     """lambda_i, the total rate of leaving state i."""
-    return float(rate_row(params, i).sum())
+    return jump_rates(params, i)[0][i]
 
 
 def block_loss_rate(params: Params, i: int) -> float:
     """r(i) = sum_j (i - j) lambda_(i,j), the mean block-loss speed."""
-    row = rate_row(params, i)
-    j = np.arange(1, i)
-    return float(((i - j) * row).sum())
+    return float(_loss_rates(params, i)[-1])
 
 
 def mean_first_collision_size(params: Params, i: int) -> float:
@@ -183,11 +186,7 @@ def comes_down_diagnostic(params: Params, M: int) -> np.ndarray:
     many blocks reaches a finite count immediately; unbounded growth (as in
     the alpha = 1 case) signals it does not.
     """
-    if M < 2:
-        raise ValueError("M >= 2 required")
-    steps = np.cumsum(_beta_moments(params, M - 2))[1:]
-    r = np.concatenate(([1.0], 1.0 + np.cumsum(steps)))
-    return np.cumsum(1.0 / r)
+    return np.cumsum(1.0 / _loss_rates(params, M))
 
 
 @dataclass(frozen=True)
@@ -222,9 +221,6 @@ class RateTable:
         if not 1 <= j <= len(row):
             raise ValueError(f"no entry ({i}, {j}) in a {self.kind} table")
         return float(row[j - 1])
-
-    def total(self, i: int) -> float:
-        return float(self.row(i).sum())
 
     def to_csv(self) -> str:
         lines = ["i,j,value"]

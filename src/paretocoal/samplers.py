@@ -49,13 +49,13 @@ class RngStream:
         return np.subtract(1.0, u, out=u)
 
 
-# Replica batches are sized so one batch holds about this many doubles.
+# By default a replica batch holds about this many doubles.
 _BATCH_ELEMENTS = 1 << 24
 
 
-def batched(replicas: int, N: int):
-    """Batch sizes summing to replicas, each batch about 2^24 / N rows."""
-    chunk = max(1, _BATCH_ELEMENTS // max(N, 1))
+def batched(replicas: int, N: int, elements: int | None = None):
+    """Batch sizes summing to replicas, each about elements / N rows."""
+    chunk = max(1, (elements or _BATCH_ELEMENTS) // max(N, 1))
     done = 0
     while done < replicas:
         b = min(chunk, replicas - done)
@@ -68,7 +68,7 @@ def pareto_sample(alpha: float, rng: RngStream, size) -> np.ndarray:
 
     Inverse CDF: X = U^(-1/alpha) with U uniform on (0, 1].
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("pareto_sample requires alpha > 0")
     u = rng.uniform_open(size)
     u **= -1.0 / alpha
@@ -89,7 +89,7 @@ def poisson_arrivals(rows: int, count: int, rng: RngStream) -> np.ndarray:
 
 def frechet_sample(alpha: float, rng: RngStream, size=None):
     """Frechet variates with CDF exp(-x^-alpha), built as tau^(-1/alpha)."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("frechet_sample requires alpha > 0")
     tau = rng.gen.standard_exponential(size)
     return tau ** (-1.0 / alpha)
@@ -113,7 +113,7 @@ def gclt_constants(alpha: float, N: int) -> GcltConstants:
     stable with a_N = N*mu; alpha = 2 normal with b_N = sqrt(N log N);
     alpha > 2 normal with variance-based C_alpha.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("gclt_constants requires alpha > 0")
     if N < 1:
         raise ValueError("gclt_constants requires N >= 1")

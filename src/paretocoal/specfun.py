@@ -1,15 +1,12 @@
 """Scalar special functions: log-gamma, digamma, log-beta, log-binomial.
 
 Log-gamma is the C library's lgamma; log-beta and log-binomial are built
-on it and take scalars. Digamma (an asymptotic series after upward
-recurrence) also accepts numpy arrays.
+on it. Digamma is an asymptotic series after upward recurrence.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -23,43 +20,31 @@ def log_gamma(x: float) -> float:
 
 # Asymptotic series psi(x) ~ ln x - 1/(2x) - sum B_{2n}/(2n x^{2n}),
 # applied after shifting the argument above 8.
-_DIGAMMA_TAIL = np.array(
-    [
-        -1.0 / 12.0,
-        1.0 / 120.0,
-        -1.0 / 252.0,
-        1.0 / 240.0,
-        -1.0 / 132.0,
-        691.0 / 32760.0,
-        -1.0 / 12.0,
-    ]
+_DIGAMMA_TAIL = (
+    -1.0 / 12.0,
+    1.0 / 120.0,
+    -1.0 / 252.0,
+    1.0 / 240.0,
+    -1.0 / 132.0,
+    691.0 / 32760.0,
+    -1.0 / 12.0,
 )
 
 
-def digamma(x):
-    """Digamma function psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+def digamma(x: float) -> float:
+    """Digamma function psi(x) = Gamma'(x)/Gamma(x) for finite x > 0."""
+    if not 0.0 < x < math.inf:
         raise ValueError("digamma requires x > 0")
-    y = arr.copy() if arr.ndim else np.array([float(arr)])
-    acc = np.zeros_like(y)
-    # Recurrence psi(y) = psi(y+1) - 1/y until y >= 8.
-    for _ in range(9):
-        mask = y < 8.0
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / y[mask]
-        y[mask] += 1.0
-    inv2 = 1.0 / (y * y)
-    tail = np.zeros_like(y)
-    p = inv2
+    acc, x = 0.0, float(x)
+    while x < 8.0:  # psi(x) = psi(x+1) - 1/x
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    tail, p = 0.0, inv2
     for c in _DIGAMMA_TAIL:
         tail += c * p
-        p = p * inv2
-    res = acc + np.log(y) - 0.5 / y + tail
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(res[0])
-    return res.reshape(arr.shape)
+        p *= inv2
+    return acc + math.log(x) - 0.5 / x + tail
 
 
 def log_beta(a: float, b: float) -> float:

@@ -332,3 +332,28 @@ class TestScalingFitCommand:
     def test_grid_validation(self, capsys):
         rc = main(["scaling-fit", "--alpha", "3", "--N-grid", "100,200"])
         assert rc == 2
+
+
+class TestNanInputs:
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["rates", "--alpha", "nan", "--i-max", "4"], "alpha"),
+            (["forward", "--alpha", "nan", "--N", "10", "--generations", "3"],
+             "alpha"),
+            (["finite-mc", "--theta", "nan", "--N", "10", "--replicas", "100"],
+             "theta"),
+            (["scaling-fit", "--alpha", "nan", "--N-grid", "10,20,40,80",
+              "--replicas", "100"], "alpha"),
+            (["gclt", "--alpha", "nan", "--N", "100", "--replicas", "1000"],
+             "alpha"),
+            (["forward", "--alpha", "nan", "--N", "100", "--kind", "pressure"],
+             "alpha"),
+        ],
+    )
+    def test_nan_exits_two_naming_the_parameter(
+        self, args, name, tmp_path, capsys
+    ):
+        rc, text = run_cli(args, tmp_path)
+        assert rc == 2 and text == ""
+        assert name in capsys.readouterr().err

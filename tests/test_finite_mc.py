@@ -9,7 +9,6 @@ from paretocoal.finite_mc import (
     PartitionModel,
     estimate_c_N,
     estimate_c_N_conditional,
-    estimate_p_ij,
     estimate_p_row,
     estimate_p_rows_nested,
     run_discrete_coalescent,
@@ -39,6 +38,18 @@ class TestPartitionModel:
             PartitionModel.gamma(-1.0, 10)
         with pytest.raises(ValueError):
             PartitionModel(family="weird", N=10)
+
+    def test_nan_fails_naming_the_parameter(self):
+        nan = math.nan
+        for make, name in (
+            (lambda: PartitionModel.pareto(nan, 10), "alpha"),
+            (lambda: PartitionModel.gamma(nan, 10), "theta"),
+            (lambda: PartitionModel.gamma(1.0, 10, beta=nan), "beta"),
+            (lambda: PartitionModel.pareto(3.0, 10, beta=nan), "beta"),
+            (lambda: PartitionModel.pareto(1.5, 10, beta=-math.inf), "beta"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                make()
 
     def test_unconstrained_bias_above_two_warns_when_large(self):
         with warnings.catch_warnings():
@@ -91,7 +102,7 @@ class TestEstimators:
 
     def test_heavy_tail_limit_constant(self):
         model = PartitionModel.pareto(0.5, 10_000)
-        est = estimate_p_ij(model, 2, 1, 20_000, RngStream(29))
+        est = estimate_p_row(model, 2, 20_000, RngStream(29))[0]
         assert abs(est.value - 0.5) < 0.02
 
     def test_conditional_matches_indicator(self):
@@ -102,7 +113,7 @@ class TestEstimators:
 
     def test_zero_bias_reduces_to_plain_frequency(self):
         model = PartitionModel.pareto(1.5, 50)
-        est = estimate_p_ij(model, 3, 2, 5000, RngStream(32))
+        est = estimate_p_row(model, 3, 5000, RngStream(32))[1]
         assert est.ess == pytest.approx(5000.0)
         count = est.value * 5000
         assert abs(count - round(count)) < 1e-9
@@ -110,7 +121,7 @@ class TestEstimators:
     def test_estimate_c_N_is_pair_merge_entry(self):
         model = PartitionModel.gamma(1.0, 30)
         a = estimate_c_N(model, 4000, RngStream(33))
-        b = estimate_p_ij(model, 2, 1, 4000, RngStream(33))
+        b = estimate_p_row(model, 2, 4000, RngStream(33))[0]
         assert a.value == b.value
 
     def test_monotone_occupancy_coupling(self):
@@ -190,13 +201,13 @@ class TestMomentForm:
         model = PartitionModel.pareto(1.5, 200)
         with pytest.warns(RuntimeWarning, match="alternating sum"):
             a = moment_form(model, 3, 2, 150_000, RngStream(39))
-        b = estimate_p_ij(model, 3, 2, 60_000, RngStream(40))
+        b = estimate_p_row(model, 3, 60_000, RngStream(40))[1]
         assert abs(a.value - b.value) < 3 * combined_se(a, b)
 
     def test_agrees_tightly_for_concentrated_segments(self):
         model = PartitionModel.gamma(2.0, 100)
         a = moment_form(model, 3, 2, 100_000, RngStream(92))
-        b = estimate_p_ij(model, 3, 2, 100_000, RngStream(93))
+        b = estimate_p_row(model, 3, 100_000, RngStream(93))[1]
         assert a.stderr < 0.3 * a.value
         assert abs(a.value - b.value) < 3 * combined_se(a, b)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 from oracles import frechet_mean
+from paretocoal import forward
 from paretocoal.forward import (
     ForwardConfig,
     explicit_fitnesses,
@@ -19,7 +21,6 @@ from paretocoal.forward import (
     trajectory,
 )
 from paretocoal.finite_mc import PartitionModel, estimate_c_N_conditional
-from paretocoal import samplers
 from paretocoal.samplers import RngStream
 from paretocoal.weighted import WeightedEstimate, mean_estimate
 
@@ -60,6 +61,13 @@ class TestConfigAndState:
         with pytest.raises(ValueError):
             ForwardConfig(N=3, alpha=1.0, generations=1,
                           initial_fitnesses=np.array([1.0, -1.0, 2.0]))
+
+    def test_nan_fails_naming_the_parameter(self):
+        with pytest.raises(ValueError, match="alpha"):
+            ForwardConfig(N=10, alpha=math.nan, generations=10)
+        with pytest.raises(ValueError, match="initial fitnesses"):
+            ForwardConfig(N=3, alpha=1.0, generations=1,
+                          initial_fitnesses=np.array([1.0, math.nan, 2.0]))
 
     def test_unit_start(self):
         cfg = ForwardConfig(N=100, alpha=2.0, generations=1)
@@ -111,9 +119,22 @@ class TestLogSpaceConsistency:
         cfg = ForwardConfig(N=10, alpha=1.5, generations=300)
         states = trajectory(cfg, RngStream(96))
         incs = increments(cfg, RngStream(97))
-        monkeypatch.setattr(samplers, "_BATCH_ELEMENTS", 64)
+        monkeypatch.setattr(forward, "_ARRIVAL_ELEMENTS", 64)
         assert trajectory(cfg, RngStream(96)) == states
         assert np.array_equal(increments(cfg, RngStream(97)), incs)
+
+    def test_arrival_blocks_bound_memory(self):
+        # One block of every generation's arrivals would be 2000 x 10001
+        # doubles (160 MB); the arrival blocks hold about 2^16 doubles.
+        cfg = ForwardConfig(N=10_000, alpha=1.0, generations=2000)
+        tracemalloc.start()
+        try:
+            states = trajectory(cfg, RngStream(98))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 2001
+        assert peak < 16 * 2**20
 
     def test_scale_equivariance(self):
         cfg1 = ForwardConfig(N=5, alpha=1.2, generations=4)
@@ -261,6 +282,12 @@ class TestFittest:
         assert st.mean_ratio is None
         with pytest.raises(ValueError):
             frechet_mean(0.8)
+
+    def test_one_replica_fails_before_drawing(self):
+        cfg = ForwardConfig(N=100, alpha=0.8, generations=1)
+        for replicas in (0, 1):
+            with pytest.raises(ValueError, match="replicas >= 2"):
+                fittest_stats(cfg, replicas, RngStream(86))
 
 
 class TestGenealogy:

@@ -21,6 +21,7 @@ from oracles import (
     xi_reassembled_entry,
     xi_transition_entry_enum,
 )
+from paretocoal import rates
 from paretocoal.rates import (
     Params,
     _beta_moments,
@@ -28,7 +29,6 @@ from paretocoal.rates import (
     c_N_asymptotic,
     comes_down_diagnostic,
     jump_rates,
-    kingman_rate,
     lambda_rate,
     lambda_row,
     mean_first_collision_size,
@@ -57,6 +57,15 @@ class TestParams:
         with pytest.raises(ValueError, match="beta < alpha"):
             Params(0.5, 0.5)
         Params(2.0, 10.0)  # unconstrained at and above 2
+
+    @pytest.mark.parametrize(
+        "alpha, beta, name",
+        [(math.nan, 0.0, "alpha"), (1.5, math.nan, "beta"),
+         (3.0, math.nan, "beta"), (3.0, -math.inf, "beta")],
+    )
+    def test_nan_fails_naming_the_parameter(self, alpha, beta, name):
+        with pytest.raises(ValueError, match=name):
+            Params(alpha, beta)
 
 
 class TestLambdaRate:
@@ -126,10 +135,13 @@ class TestKingmanEnd:
     def test_binary_rates_are_exact(self, alpha, beta):
         for i in (2, 3, 4, 7, 60, 2000):
             p = Params(alpha, i - 1.0 if beta == "i-1" else beta)
-            kingman = np.array([kingman_rate(i, j) for j in range(1, i)])
-            assert np.array_equal(rate_row(p, i), kingman)
             m = np.arange(2, i + 1, dtype=float)
             pairs = np.array([float(n * (n - 1) // 2) for n in range(2, i + 1)])
+            kingman = np.zeros(i - 1)
+            kingman[-1] = pairs[-1]
+            assert np.array_equal(rate_row(p, i), kingman)
+            assert total_rate(p, i) == pairs[-1]
+            assert block_loss_rate(p, i) == pairs[-1]
             total, binary = jump_rates(p, i)
             assert np.array_equal(np.asarray(total)[2:], pairs)
             assert np.array_equal(np.asarray(binary)[2:], pairs)
@@ -140,9 +152,9 @@ class TestKingmanEnd:
 
 class TestKingman:
     def test_values(self):
-        assert kingman_rate(3, 2) == 3.0
-        assert kingman_rate(5, 4) == 10.0
-        assert kingman_rate(5, 2) == 0.0
+        assert rate_row(Params(2.0), 3)[1] == 3.0
+        assert rate_row(Params(2.0), 5)[3] == 10.0
+        assert rate_row(Params(2.0), 5)[1] == 0.0
 
     def test_totals(self):
         p = Params(3.0, 0.0)
@@ -246,11 +258,19 @@ class TestRatioRecursion:
         row = lambda_row_betaln(a, b, i)
         assert_allclose(lambda_row(p, i), row, rtol=1e-11)
         k = i - np.arange(1, i) + 1.0
+        row_total = math.fsum(row)
+        row_loss = math.fsum((k - 1.0) * row)
         total = 1.0 + math.fsum(m * moments[m - 1] for m in range(2, i))
         loss = 1.0 + math.fsum(math.fsum(moments[:n]) for n in range(2, i))
-        assert total == pytest.approx(math.fsum(row), rel=1e-11)
+        assert total == pytest.approx(row_total, rel=1e-11)
         assert i * (i - 1) / 2.0 * moments[i - 2] == pytest.approx(row[-1], rel=1e-11)
-        assert loss == pytest.approx(math.fsum((k - 1.0) * row), rel=1e-11)
+        assert loss == pytest.approx(row_loss, rel=1e-11)
+        # the public scalars read the same partial sums
+        assert total_rate(p, i) == pytest.approx(row_total, rel=1e-11)
+        assert block_loss_rate(p, i) == pytest.approx(row_loss, rel=1e-11)
+        assert mean_first_collision_size(p, i) == pytest.approx(
+            1.0 + row_loss / row_total, rel=1e-11
+        )
         sim_total, sim_binary = jump_rates(p, i)
         assert sim_total[i] == pytest.approx(total, rel=1e-13)
         assert sim_binary[i] == pytest.approx(row[-1], rel=1e-11)
@@ -258,6 +278,22 @@ class TestRatioRecursion:
         kk = k[1:]  # k = 2..i-1 paired with k + 1
         ratio = (i - kk) * (kk - a) / ((kk + 1) * (i - kk - 1 + a - b))
         assert_allclose(row[:-1] / row[1:], ratio, rtol=1e-11)
+
+    @pytest.mark.parametrize("params", [Params(1.0), Params(1.5, 0.3), Params(3.0)])
+    def test_scalars_build_no_row(self, params, monkeypatch):
+        i = 300
+        scalars = (total_rate, block_loss_rate, mean_first_collision_size)
+        want = [f(params, i) for f in scalars]
+        sums = comes_down_diagnostic(params, i)
+
+        def no_row(*args):
+            raise AssertionError("rate_row called")
+
+        monkeypatch.setattr(rates, "rate_row", no_row)
+        assert [f(params, i) for f in scalars] == want
+        assert np.array_equal(comes_down_diagnostic(params, i), sums)
+        with pytest.raises(AssertionError, match="rate_row called"):
+            build_rate_table(params, 3)  # the patch is live
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -450,7 +486,7 @@ class TestTables:
         p = Params(1.5, 0.0)
         t = build_rate_table(p, 8)
         assert t.entry(3, 2) == pytest.approx(lambda_rate(p, 3, 2))
-        assert t.total(5) == pytest.approx(total_rate(p, 5))
+        assert t.row(5).sum() == pytest.approx(total_rate(p, 5))
 
     def test_lazy_rows_match(self):
         # The simulator's recursion-built totals and binary rates agree
@@ -460,7 +496,7 @@ class TestTables:
             total, binary = jump_rates(p, 12)
             for i in (2, 7, 12):
                 assert_allclose(rate_row(p, i), t.row(i))
-                assert_allclose(total[i], t.total(i), rtol=1e-13)
+                assert_allclose(total[i], t.row(i).sum(), rtol=1e-13)
                 assert_allclose(binary[i], t.entry(i, i - 1), rtol=1e-13)
 
     def test_i_max_capped_like_the_xi_table(self):
@@ -469,7 +505,7 @@ class TestTables:
                 build_rate_table(p, 2001)
         t = build_rate_table(Params(1.0, 0.0), 2000)
         total, _ = jump_rates(Params(1.0, 0.0), 2000)
-        assert t.total(2000) == pytest.approx(total[2000], rel=1e-12)
+        assert t.row(2000).sum() == pytest.approx(total[2000], rel=1e-12)
 
     def test_rows_are_read_only(self):
         for t in (
