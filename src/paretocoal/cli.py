@@ -1,9 +1,9 @@
 """Command-line front end: tables, Monte Carlo runs, sweeps, CSV output.
 
-Every run prints a provenance comment line (seed, parameters, version)
-followed by a CSV table, and a given (config, seed) pair always produces
-byte-identical output. A JSON config document can seed any run; explicit
-flags override fields from the file.
+Every run prints a provenance comment line (seed, parameters, version,
+numpy version, bit generator) followed by a CSV table, and a given
+(config, seed) pair always produces byte-identical output. A JSON config
+document can seed any run; explicit flags override fields from the file.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ def _provenance(config: ExperimentConfig) -> str:
     }
     return (
         f"# seed={config.seed}, params={json.dumps(params, sort_keys=True)}, "
-        f"version={__version__}"
+        f"version={__version__}, numpy={np.__version__}, "
+        f"bitgen={type(RngStream(0).gen.bit_generator).__name__}"
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import RngStream, batched, pareto_sample
+from .samplers import RngStream, pareto_sample, replica_blocks
 from .weighted import RatioAccumulator, WeightedEstimate, warn_if_degenerate
 
 
@@ -41,8 +41,8 @@ class PartitionModel:
         if not abs(self.beta) < np.inf:
             raise ValueError(f"beta must be finite, got {self.beta}")
         if self.family == "pareto":
-            if self.alpha is None or not self.alpha > 0:
-                raise ValueError("pareto family requires alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < np.inf:
+                raise ValueError("pareto family requires finite alpha > 0")
             if self.alpha < 2.0 and not self.beta < self.alpha:
                 raise ValueError("beta < alpha required for alpha < 2")
             if self.alpha >= 2.0 and self.beta >= self.alpha / 2.0 + 1.0:
@@ -139,12 +139,13 @@ def estimate_p_rows_nested(
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
     i_top = i_values[-1]
-    accs = {i: RatioAccumulator(columns=i) for i in i_values}
-    for b in batched(replicas, model.N):
-        x = model.draw((b, model.N), rng)
+    def block(rows, child):
+        x = model.draw((rows, model.N), child)
         log_w = model.beta * np.log(x.sum(axis=1))
-        u = rng.gen.random((b, i_top))
-        hits = _segment_hits(x, u)
+        return log_w, _segment_hits(x, child.gen.random((rows, i_top)))
+
+    accs = {i: RatioAccumulator(columns=i) for i in i_values}
+    for log_w, hits in replica_blocks(replicas, model.N, rng, block):
         for i in i_values:
             j = _distinct_counts(hits[:, :i])
             v = (j[:, None] == np.arange(1, i + 1)[None, :]).astype(float)
@@ -175,12 +176,13 @@ def estimate_c_N_conditional(
     """
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
-    acc = RatioAccumulator(columns=1)
-    for b in batched(replicas, model.N):
-        x = model.draw((b, model.N), rng)
+    def block(rows, child):
+        x = model.draw((rows, model.N), child)
         s = x.sum(axis=1)
-        log_w = model.beta * np.log(s)
-        v = (x * x).sum(axis=1) / (s * s)
+        return model.beta * np.log(s), np.einsum("ij,ij->i", x, x) / (s * s)
+
+    acc = RatioAccumulator(columns=1)
+    for log_w, v in replica_blocks(replicas, model.N, rng, block):
         acc.add(log_w, v)
     est = acc.estimate()
     warn_if_degenerate(est, "estimate_c_N_conditional")

@@ -19,9 +19,9 @@ import numpy as np
 
 from .samplers import (
     RngStream,
-    batched,
     frechet_sample,
-    pareto_sample,
+    ordered_map,
+    pareto_row_sums,
     poisson_arrivals,
 )
 from .specfun import digamma
@@ -40,8 +40,8 @@ class ForwardConfig:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N >= 2 required")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha > 0 required, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"finite alpha > 0 required, got {self.alpha}")
         if self.generations < 1:
             raise ValueError("generations >= 1 required")
         if self.initial_fitnesses is not None:
@@ -93,7 +93,9 @@ _ARRIVAL_ELEMENTS = 1 << 16
 
 def _arrival_blocks(config: ForwardConfig, rng: RngStream):
     """Arrival rows of every generation, one (b, N+1) block at a time."""
-    for b in batched(config.generations, config.N + 1, _ARRIVAL_ELEMENTS):
+    chunk = max(1, _ARRIVAL_ELEMENTS // (config.N + 1))
+    for done in range(0, config.generations, chunk):
+        b = min(chunk, config.generations - done)
         yield poisson_arrivals(b, config.N + 1, rng)
 
 
@@ -168,9 +170,9 @@ def speed_estimate(
         raise ValueError("speed_estimate wants generations >= 100")
     if replicas < 2:
         raise ValueError(f"replicas >= 2 required, got {replicas}")
-    return mean_estimate(
-        [increments(config, rng.substream(r)).mean() for r in range(replicas)]
-    )
+    means = ordered_map(lambda r: increments(config, rng.substream(r)).mean(),
+                        range(replicas))
+    return mean_estimate(list(means))
 
 
 def per_step_mean_parts(
@@ -185,10 +187,7 @@ def per_step_mean_parts(
     if replicas < 2:
         raise ValueError(f"replicas >= 2 required, got {replicas}")
     sel = -digamma(config.N + 1) / config.alpha
-    sums = np.concatenate(
-        [pareto_sample(1.0, rng, (b, config.N)).sum(axis=1)
-         for b in batched(replicas, config.N)]
-    )
+    sums = pareto_row_sums(1.0, config.N, replicas, rng)
     return sel, mean_estimate(np.log(sums) / config.alpha)
 
 

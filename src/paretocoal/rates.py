@@ -39,8 +39,8 @@ class Params:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha >= 0 required, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"finite alpha >= 0 required, got {self.alpha}")
         if not abs(self.beta) < math.inf:
             raise ValueError(f"beta must be finite, got {self.beta}")
         if self.alpha < 2.0 and not self.beta < self.alpha:

@@ -3,12 +3,14 @@
 The RNG is counter-based (Philox keyed through numpy's SeedSequence), so a
 (seed, stream_index) pair pins down the whole variate sequence and distinct
 stream indices give statistically independent streams that can be consumed
-in any order, e.g. one stream per Monte Carlo worker.
+in any order. Replica loops run in fixed blocks on spawned streams over one
+thread per CPU, so their results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,22 +24,36 @@ class RngStream:
 
     seed: int
     stream_index: int = 0
+    _seq: np.random.SeedSequence | None = field(
+        default=None, repr=False, compare=False
+    )
     _gen: np.random.Generator | None = field(
         default=None, repr=False, compare=False
     )
 
     @property
-    def gen(self) -> np.random.Generator:
-        if self._gen is None:
+    def seq(self) -> np.random.SeedSequence:
+        """The SeedSequence the generator and the spawned children use."""
+        if self._seq is None:
             # SeedSequence wants unsigned words; map signed 64-bit values
             # through two's complement so negative seeds/indices stay valid.
             mask = (1 << 64) - 1
-            ss = np.random.SeedSequence(
+            self._seq = np.random.SeedSequence(
                 entropy=int(self.seed) & mask,
                 spawn_key=(int(self.stream_index) & mask,),
             )
-            self._gen = np.random.Generator(np.random.Philox(ss))
+        return self._seq
+
+    @property
+    def gen(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(self.seq))
         return self._gen
+
+    def spawn(self, n: int) -> list["RngStream"]:
+        """n child streams, fresh on every call (SeedSequence.spawn)."""
+        return [RngStream(self.seed, self.stream_index, _seq=c)
+                for c in self.seq.spawn(n)]
 
     def substream(self, j: int) -> "RngStream":
         """Derive an independent child stream; deterministic in (self, j)."""
@@ -49,18 +65,47 @@ class RngStream:
         return np.subtract(1.0, u, out=u)
 
 
-# By default a replica batch holds about this many doubles.
-_BATCH_ELEMENTS = 1 << 24
+# A replica block holds about this many doubles.
+_BLOCK_ELEMENTS = 1 << 20
+_POOL = None
 
 
-def batched(replicas: int, N: int, elements: int | None = None):
-    """Batch sizes summing to replicas, each about elements / N rows."""
-    chunk = max(1, (elements or _BATCH_ELEMENTS) // max(N, 1))
-    done = 0
-    while done < replicas:
-        b = min(chunk, replicas - done)
-        yield b
-        done += b
+def _pool():
+    """One thread per usable CPU, built on first use."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+        _POOL = ThreadPoolExecutor(workers)
+    return _POOL
+
+
+def ordered_map(fn, *args):
+    """fn over zipped sequences on the pool, results in order; a single
+    call runs here. numpy's errstate does not reach the pool's threads."""
+    if len(args[0]) == 1:
+        return [fn(*[a[0] for a in args])]
+    return _pool().map(fn, *args)
+
+
+def pareto_row_sums(alpha: float, N: int, replicas: int, rng: RngStream):
+    """Row sums of replicas x N Pareto(alpha) draws; inf where one overflows."""
+    def block(rows, child):
+        with np.errstate(over="ignore"):
+            return pareto_sample(alpha, child, (rows, N)).sum(axis=1)
+
+    return np.concatenate(list(replica_blocks(replicas, N, rng, block)))
+
+
+def replica_blocks(replicas: int, N: int, rng: RngStream, fn):
+    """fn(rows, child) per block of about 2^20 doubles, in block order.
+    Block k draws from the k-th child rng.spawn gives, whatever thread
+    runs it."""
+    chunk = max(1, _BLOCK_ELEMENTS // max(N, 1))
+    rows = [min(chunk, replicas - s) for s in range(0, replicas, chunk)]
+    return ordered_map(fn, rows, rng.spawn(len(rows)))
 
 
 def pareto_sample(alpha: float, rng: RngStream, size) -> np.ndarray:
@@ -68,8 +113,8 @@ def pareto_sample(alpha: float, rng: RngStream, size) -> np.ndarray:
 
     Inverse CDF: X = U^(-1/alpha) with U uniform on (0, 1].
     """
-    if not alpha > 0:
-        raise ValueError("pareto_sample requires alpha > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"pareto_sample requires finite alpha > 0, got {alpha}")
     u = rng.uniform_open(size)
     u **= -1.0 / alpha
     return u
@@ -89,8 +134,8 @@ def poisson_arrivals(rows: int, count: int, rng: RngStream) -> np.ndarray:
 
 def frechet_sample(alpha: float, rng: RngStream, size=None):
     """Frechet variates with CDF exp(-x^-alpha), built as tau^(-1/alpha)."""
-    if not alpha > 0:
-        raise ValueError("frechet_sample requires alpha > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"frechet_sample requires finite alpha > 0, got {alpha}")
     tau = rng.gen.standard_exponential(size)
     return tau ** (-1.0 / alpha)
 
@@ -113,8 +158,8 @@ def gclt_constants(alpha: float, N: int) -> GcltConstants:
     stable with a_N = N*mu; alpha = 2 normal with b_N = sqrt(N log N);
     alpha > 2 normal with variance-based C_alpha.
     """
-    if not alpha > 0:
-        raise ValueError("gclt_constants requires alpha > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"gclt_constants requires finite alpha > 0, got {alpha}")
     if N < 1:
         raise ValueError("gclt_constants requires N >= 1")
     if alpha == 1.0:
@@ -176,11 +221,7 @@ def standardized_sum_stats(
     consts = gclt_constants(alpha, N)
     if not consts.b_N > 0:
         raise ValueError(f"degenerate scaling b_N={consts.b_N} at N={N}")
-    with np.errstate(over="ignore"):
-        sums = np.concatenate(
-            [pareto_sample(alpha, rng, size=(b, N)).sum(axis=1)
-             for b in batched(replicas, N)]
-        )
+    sums = pareto_row_sums(alpha, N, replicas, rng)
     if not np.isfinite(sums).all():
         # U^(-1/alpha) passes the largest double once U < exp(-709.8 alpha).
         raise ValueError(

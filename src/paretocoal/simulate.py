@@ -18,7 +18,7 @@ import numpy as np
 
 from .finite_mc import BlockState
 from .rates import Params, beta_shape, jump_rates
-from .samplers import RngStream, batched
+from .samplers import RngStream, replica_blocks
 from .weighted import mean_estimate
 
 _MAX_EVENTS = 10_000_000
@@ -175,23 +175,17 @@ def kingman_functionals(
 
     The block chain is deterministic (i -> i-1), so all replicas advance in
     lockstep and every functional reduces to array operations. Replicas go
-    through samplers.batched, so one batch holds about 2^24 holding times.
+    through samplers.replica_blocks, about 2^20 holding times a block.
     """
-    if n0 < 2:
-        raise ValueError("n0 >= 2 required")
-    gen = rng.gen
+    if n0 < 2 or replicas < 1:
+        raise ValueError("n0 >= 2 and replicas >= 1 required")
     ivals = np.arange(n0, 1, -1, dtype=float)
     lam = ivals * (ivals - 1.0) / 2.0
-    out = {name: np.empty(replicas) for name in _FUNCTIONALS}
-    out["collisions"][:] = n0 - 1
-    done = 0
-    for size in batched(replicas, n0 - 1):
-        rows = slice(done, done + size)
-        done += size
+
+    def block(size, child):
+        gen = child.gen
         T = gen.standard_exponential((size, n0 - 1))
-        T /= lam  # in place: one batch of holding times, not two
-        out["height"][rows] = T.sum(axis=1)
-        out["total_length"][rows] = T @ ivals
+        T /= lam  # in place: one block of holding times, not two
         singles = np.full(size, n0, dtype=float)
         alive = np.ones(size, dtype=bool)
         ext = np.zeros(size)
@@ -209,9 +203,12 @@ def kingman_functionals(
             dies = alive & (u2 * np.maximum(singles, 1.0) < m)
             alive &= ~dies
             singles -= m
-        out["external_length"][rows] = ext
-        out["random_external_branch"][rows] = tagged
-    return out
+        return T.sum(axis=1), T @ ivals, ext, tagged
+
+    parts = zip(*replica_blocks(replicas, n0 - 1, rng, block))
+    height, total, ext, tagged = map(np.concatenate, parts)
+    collisions = np.full(replicas, n0 - 1.0)
+    return dict(zip(_FUNCTIONALS, (height, total, ext, collisions, tagged)))
 
 
 def family_params(family: str, alpha: float | None, beta: float) -> Params:

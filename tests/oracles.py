@@ -5,11 +5,12 @@ rate code: gamma/beta values come from scipy, integrals from QUADPACK's
 algebraic-weight adaptive rule (quad with weight="alg"), which handles the
 endpoint singularities of beta densities natively. Integrands are written
 with expm1/log1p or explicit polynomial forms so they stay accurate where
-naive evaluation cancels. Transition-matrix entries of the discrete
-chain come from sums over compositions and, at alpha = 0, from exact
-integer Stirling numbers. Alternative algebraic routes (the moment form of
-the Lambda rates and of the finite-N merger probabilities, the product
-form of the Xi merger probabilities) live here too, as independent
+naive evaluation cancels. The size-biased Pareto c_N integrates Laplace
+transforms with mpmath's tanh-sinh rule. Transition-matrix entries of the
+discrete chain come from sums over compositions and, at alpha = 0, from
+exact integer Stirling numbers. Alternative algebraic routes (the moment
+form of the Lambda rates and of the finite-N merger probabilities, the
+product form of the Xi merger probabilities) live here too, as independent
 cross-checks of the package's own recursions and estimators.
 """
 
@@ -20,6 +21,7 @@ import math
 import warnings
 from typing import NamedTuple
 
+import mpmath as mp
 import numpy as np
 from scipy import integrate, special
 
@@ -235,6 +237,45 @@ def gamma_partition_c_N_exact(theta: float, N: int) -> float:
     quoted (1/N)(1+theta)/theta is this law's large-N limit.
     """
     return (1.0 + theta) / (N * theta + 1.0)
+
+
+def pareto_c_N_exact(alpha: float, beta: float, N: int) -> float:
+    """Exact c_N for N Pareto(alpha) segments size-biased by Sigma^beta.
+
+    c_N = N E[X_1^2 Sigma^(beta-2)] / E[Sigma^beta], by Laplace transforms
+    (mpmath): phi(t) = alpha t^alpha Gamma(-alpha, t) = E e^(-tX) and
+    psi(t) = alpha t^(alpha-2) Gamma(2-alpha, t) = E X^2 e^(-tX). From
+    Sigma^-s = int t^(s-1) e^(-t Sigma) dt / Gamma(s), the numerator is
+    int t^(1-beta) psi phi^(N-1) dt / Gamma(2-beta). The denominator is
+    beta/Gamma(1-beta) int (1 - phi^N) t^(-beta-1) dt for 0 < beta < 1,
+    int t^(-beta-1) phi^N dt / Gamma(-beta) for beta < 0, and 1 at 0.
+    """
+    if not (beta < 1 and beta < alpha):
+        raise ValueError("pareto_c_N_exact needs beta < min(1, alpha)")
+    with mp.workdps(20):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+
+        def phi(t):
+            return a * t**a * mp.gammainc(-a, t)
+
+        def psi(t):
+            return a * t ** (a - 2) * mp.gammainc(2 - a, t)
+
+        # Sigma is of order N^max(1, 1/alpha): split the range about
+        # t = 1/Sigma so each tanh-sinh piece is smooth.
+        s = mp.mpf(N) ** -max(1.0, 1.0 / alpha)
+        cuts = [0, s / 100, s / 10, s, 10 * s, 100 * s, 1, 10, mp.inf]
+        num = mp.quad(lambda t: t ** (1 - b) * psi(t) * phi(t) ** (N - 1), cuts)
+        num /= mp.gamma(2 - b)
+        if beta > 0:
+            den = mp.quad(lambda t: (1 - phi(t) ** N) * t ** (-b - 1), cuts)
+            den *= b / mp.gamma(1 - b)
+        elif beta < 0:
+            den = mp.quad(lambda t: t ** (-b - 1) * phi(t) ** N, cuts)
+            den /= mp.gamma(-b)
+        else:
+            den = 1
+        return float(N * num / den)
 
 
 def frechet_mean(alpha: float) -> float:

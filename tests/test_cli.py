@@ -87,6 +87,7 @@ class TestRatesCommand:
         first = text.splitlines()[0]
         assert first.startswith("# seed=9, params=")
         assert "version=" in first
+        assert f", numpy={np.__version__}, bitgen=Philox" in first
 
     def test_xi_matrix_subcommand_guard(self, tmp_path, capsys):
         rc = main(["xi-matrix", "--alpha", "1.5"])
@@ -348,6 +349,13 @@ class TestNanInputs:
             (["gclt", "--alpha", "nan", "--N", "100", "--replicas", "1000"],
              "alpha"),
             (["forward", "--alpha", "nan", "--N", "100", "--kind", "pressure"],
+             "alpha"),
+            (["rates", "--alpha", "inf", "--i-max", "3"], "alpha"),
+            (["forward", "--alpha", "inf", "--N", "10", "--generations", "3"],
+             "alpha"),
+            (["scaling-fit", "--alpha", "inf", "--N-grid", "10,20,40,80",
+              "--replicas", "100"], "alpha"),
+            (["gclt", "--alpha", "inf", "--N", "100", "--replicas", "1000"],
              "alpha"),
         ],
     )

@@ -4,7 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import estimate_moment_form, gamma_partition_c_N_exact
+from oracles import (
+    estimate_moment_form,
+    gamma_partition_c_N_exact,
+    pareto_c_N_exact,
+)
 from paretocoal.finite_mc import (
     PartitionModel,
     estimate_c_N,
@@ -15,7 +19,7 @@ from paretocoal.finite_mc import (
     _distinct_counts,
     _segment_hits,
 )
-from paretocoal.samplers import RngStream, batched
+from paretocoal.samplers import RngStream, replica_blocks
 
 
 def combined_se(*ests) -> float:
@@ -23,8 +27,10 @@ def combined_se(*ests) -> float:
 
 
 def moment_form(model, i, j, replicas, rng):
-    """The moment-form oracle on segments drawn in the estimators' batches."""
-    draws = (model.draw((b, model.N), rng) for b in batched(replicas, model.N))
+    """The moment-form oracle on segments drawn in the estimators' blocks."""
+    draws = replica_blocks(
+        replicas, model.N, rng, lambda rows, child: model.draw((rows, model.N), child)
+    )
     return estimate_moment_form(draws, i, j, beta=model.beta)
 
 
@@ -43,6 +49,7 @@ class TestPartitionModel:
         nan = math.nan
         for make, name in (
             (lambda: PartitionModel.pareto(nan, 10), "alpha"),
+            (lambda: PartitionModel.pareto(math.inf, 10), "alpha"),
             (lambda: PartitionModel.gamma(nan, 10), "theta"),
             (lambda: PartitionModel.gamma(1.0, 10, beta=nan), "beta"),
             (lambda: PartitionModel.pareto(3.0, 10, beta=nan), "beta"),
@@ -87,6 +94,23 @@ class TestGammaOracle:
         assert abs(approx - exact) / exact < 2e-3
         est = estimate_c_N(PartitionModel.gamma(theta, N), 30_000, RngStream(27))
         assert abs(est.value - approx) < 3 * est.stderr
+
+
+class TestParetoOracle:
+    @pytest.mark.parametrize("alpha, beta", [(0.8, 0.4), (1.5, 0.0), (1.5, -1.0)])
+    def test_one_segment_is_certain(self, alpha, beta):
+        # N = 1: numerator and denominator are both E X^beta
+        assert pareto_c_N_exact(alpha, beta, 1) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, N, seed", [(0.8, 0.4, 1000, 111), (1.5, -1.0, 200, 112)]
+    )
+    def test_size_biased_conditional_c_N(self, alpha, beta, N, seed):
+        # The importance weights Sigma^beta against an exact target
+        model = PartitionModel.pareto(alpha, N, beta)
+        est = estimate_c_N_conditional(model, 200_000, RngStream(seed))
+        exact = pareto_c_N_exact(alpha, beta, N)
+        assert abs(est.value - exact) < 3 * est.stderr
 
 
 class TestEstimators:
@@ -154,13 +178,16 @@ class TestEstimators:
                 estimate_p_rows_nested(model, i_values, replicas, RngStream(1))
         biased = PartitionModel.pareto(0.5, 500, beta=0.45)
         with pytest.warns(RuntimeWarning, match="effective sample size"):
-            estimate_p_rows_nested(biased, [2, 3], 20_000, RngStream(37))
+            estimate_p_rows_nested(biased, [2, 3], 200_000, RngStream(37))
 
     def test_degenerate_weights_flagged(self):
-        # bias close to the tail index: the weight moment barely exists
+        # bias close to the tail index: the weight moment barely exists.
+        # The ESS grows about as replicas^0.2, so its share falls with the
+        # replica count: at 2e4 replicas it straddles the 1% flag (0.007%
+        # to 1.8% over 20 streams), at 2e5 it stays below 0.7%.
         model = PartitionModel.pareto(0.5, 500, beta=0.45)
         with pytest.warns(RuntimeWarning, match="effective sample size"):
-            est = estimate_c_N_conditional(model, 20_000, RngStream(37))
+            est = estimate_c_N_conditional(model, 200_000, RngStream(37))
         assert est.ess < 0.01 * est.replicas
 
     def test_nan_ess_is_flagged_degenerate(self):

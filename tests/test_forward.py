@@ -63,8 +63,9 @@ class TestConfigAndState:
                           initial_fitnesses=np.array([1.0, -1.0, 2.0]))
 
     def test_nan_fails_naming_the_parameter(self):
-        with pytest.raises(ValueError, match="alpha"):
-            ForwardConfig(N=10, alpha=math.nan, generations=10)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                ForwardConfig(N=10, alpha=alpha, generations=10)
         with pytest.raises(ValueError, match="initial fitnesses"):
             ForwardConfig(N=3, alpha=1.0, generations=1,
                           initial_fitnesses=np.array([1.0, math.nan, 2.0]))

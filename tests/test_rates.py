@@ -60,7 +60,8 @@ class TestParams:
 
     @pytest.mark.parametrize(
         "alpha, beta, name",
-        [(math.nan, 0.0, "alpha"), (1.5, math.nan, "beta"),
+        [(math.nan, 0.0, "alpha"), (math.inf, 0.0, "alpha"),
+         (1.5, math.nan, "beta"),
          (3.0, math.nan, "beta"), (3.0, -math.inf, "beta")],
     )
     def test_nan_fails_naming_the_parameter(self, alpha, beta, name):

@@ -1,11 +1,21 @@
 import math
+import sys
+import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 
-from paretocoal.finite_mc import PartitionModel
+from paretocoal import samplers
+from paretocoal.finite_mc import (
+    PartitionModel,
+    estimate_c_N_conditional,
+    estimate_p_row,
+)
+from paretocoal.forward import ForwardConfig, speed_estimate
 from paretocoal.samplers import (
     GcltConstants,
     RngStream,
@@ -15,6 +25,7 @@ from paretocoal.samplers import (
     poisson_arrivals,
     standardized_sum_stats,
 )
+from paretocoal.simulate import kingman_functionals
 
 
 def median_stderr(samples: np.ndarray) -> float:
@@ -194,7 +205,9 @@ class TestGcltConstants:
 class TestStandardizedSums:
     def test_single_draw_reduces_to_standardized_variate(self):
         stats = standardized_sum_stats(3.0, 1, 1000, RngStream(13))
-        x = pareto_sample(3.0, RngStream(13), (1000, 1)).ravel()
+        # 1000 rows of one element are one replica block: the first child.
+        (child,) = RngStream(13).spawn(1)
+        x = pareto_sample(3.0, child, (1000, 1)).ravel()
         c = gclt_constants(3.0, 1)
         assert stats.mean == pytest.approx(((x - c.a_N) / c.b_N).mean())
 
@@ -225,3 +238,113 @@ class TestStandardizedSums:
         # alpha = 2, N = 1 has b_N = sqrt(1 * log 1) = 0
         with pytest.raises(ValueError, match="b_N"):
             standardized_sum_stats(2.0, 1, 1000, RngStream(0))
+
+    def test_overflow_raises_without_numpy_warning(self):
+        # U^-200 overflows for U < exp(-3.55), about 3% of draws; b_N is
+        # finite. Each worker thread sets its own errstate, so numpy's
+        # overflow warning must not escape from the pool either.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow a double"):
+                standardized_sum_stats(0.005, 10, 200_000, RngStream(18))
+
+
+class TestNonFiniteAlpha:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+    def test_fails_naming_alpha(self, alpha):
+        for call in (
+            lambda: pareto_sample(alpha, RngStream(0), 10),
+            lambda: frechet_sample(alpha, RngStream(0), 10),
+            lambda: gclt_constants(alpha, 10),
+        ):
+            with pytest.raises(ValueError, match="alpha"):
+                call()
+
+
+def _with_workers(monkeypatch, run, workers=1):
+    """run() on the default pool, then on a pool of `workers` threads."""
+    default = run()
+    pool = ThreadPoolExecutor(workers)
+    monkeypatch.setattr(samplers, "_pool", lambda: pool)
+    try:
+        return default, run()
+    finally:
+        pool.shutdown()
+
+
+class TestReplicaBlocks:
+    @pytest.mark.parametrize(
+        "model",
+        [PartitionModel.gamma(1.0, 1000, beta=1.0),
+         PartitionModel.pareto(1.5, 1000, beta=0.5)],
+    )
+    def test_p_row_independent_of_thread_count(self, monkeypatch, model):
+        # 5000 replicas at N = 1000 are five blocks
+        many, one = _with_workers(
+            monkeypatch, lambda: estimate_p_row(model, 4, 5000, RngStream(19))
+        )
+        assert many == one
+
+    def test_conditional_c_N_independent_of_thread_count(self, monkeypatch):
+        model = PartitionModel.pareto(0.8, 2000, beta=0.4)
+        many, one = _with_workers(
+            monkeypatch,
+            lambda: estimate_c_N_conditional(model, 3000, RngStream(20)),
+        )
+        assert many == one
+
+    def test_sum_stats_independent_of_thread_count(self, monkeypatch):
+        many, one = _with_workers(
+            monkeypatch,
+            lambda: standardized_sum_stats(1.5, 1000, 3000, RngStream(21)),
+        )
+        assert many == one
+
+    def test_kingman_independent_of_thread_count(self, monkeypatch):
+        many, one = _with_workers(
+            monkeypatch, lambda: kingman_functionals(200, 20_000, RngStream(22))
+        )
+        assert many.keys() == one.keys()
+        for key in many:
+            assert_array_equal(many[key], one[key])
+
+    def test_speed_independent_of_thread_count(self, monkeypatch):
+        cfg = ForwardConfig(N=100, alpha=1.0, generations=100)
+        many, one = _with_workers(
+            monkeypatch, lambda: speed_estimate(cfg, 8, RngStream(23))
+        )
+        assert many == one
+
+    def test_more_threads_than_cores_with_fast_switching(self, monkeypatch):
+        model = PartitionModel.pareto(1.5, 200, beta=0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            default, eight = _with_workers(
+                monkeypatch,
+                lambda: estimate_p_row(model, 3, 40_000, RngStream(26)),
+                workers=8,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert default == eight
+
+    def test_successive_calls_draw_fresh_blocks(self):
+        model = PartitionModel.pareto(1.5, 1000)
+        rng = RngStream(24)
+        a = estimate_c_N_conditional(model, 3000, rng)
+        b = estimate_c_N_conditional(model, 3000, rng)
+        assert a.value != b.value
+        assert a == estimate_c_N_conditional(model, 3000, RngStream(24))
+
+    def test_blocks_bound_memory(self):
+        # 5000 rows of 10^4 doubles are 400 MB; blocks of 2^20 doubles,
+        # at most one drawing per thread, stay far below it.
+        model = PartitionModel.pareto(0.8, 10_000)
+        tracemalloc.start()
+        try:
+            estimate_c_N_conditional(model, 5000, RngStream(25))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20

@@ -199,8 +199,8 @@ class TestKingmanBatch:
 
     def test_batches_bound_memory(self, monkeypatch):
         # All holding times at once would be 2000 x 199 doubles (3.2 MB);
-        # batches of about 2^12 draws leave the five output arrays (80 kB).
-        monkeypatch.setattr(samplers, "_BATCH_ELEMENTS", 1 << 12)
+        # blocks of about 2^12 draws leave the five output arrays (80 kB).
+        monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", 1 << 12)
         tracemalloc.start()
         try:
             batch = kingman_functionals(200, 2000, RngStream(71))
