@@ -38,11 +38,8 @@ from .simulate import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run: the command plus every knob it may read.
-
-    Unused fields stay None; serialization drops them so that
-    parse(serialize(config)) round-trips exactly.
-    """
+    """One run: the command plus every knob it may read; unused fields
+    stay None."""
 
     command: str
     family: str | None = None
@@ -59,23 +56,6 @@ class ExperimentConfig:
     trajectory: bool = False
     kind: str | None = None
     out: str | None = None
-
-    def serialize(self) -> str:
-        d = {
-            k: v
-            for k, v in dataclasses.asdict(self).items()
-            if v is not None
-        }
-        if "N_grid" in d:
-            d["N_grid"] = list(d["N_grid"])
-        return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def parse(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
-        if "N_grid" in d and d["N_grid"] is not None:
-            d["N_grid"] = tuple(d["N_grid"])
-        return cls(**d)
 
 
 def _provenance(config: ExperimentConfig) -> str:
@@ -228,7 +208,7 @@ def _cmd_forward(cfg: ExperimentConfig) -> str:
         raise ValueError("--kind must be 'trajectory', 'speed' or 'pressure'")
     replicas = cfg.replicas if cfg.replicas is not None else 20
     est = speed_estimate(config, replicas, rng)
-    sel, growth = per_step_mean_parts(config, 10 * replicas, rng.substream(-1))
+    sel, growth = per_step_mean_parts(config, 10 * replicas, rng)
     rows = [
         ("speed", est.value, est.stderr, est.replicas),
         ("selection_part", sel, 0.0, 0),

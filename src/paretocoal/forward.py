@@ -170,8 +170,8 @@ def speed_estimate(
         raise ValueError("speed_estimate wants generations >= 100")
     if replicas < 2:
         raise ValueError(f"replicas >= 2 required, got {replicas}")
-    means = ordered_map(lambda r: increments(config, rng.substream(r)).mean(),
-                        range(replicas))
+    means = ordered_map(lambda child: increments(config, child).mean(),
+                        rng.spawn(replicas))
     return mean_estimate(list(means))
 
 

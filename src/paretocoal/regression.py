@@ -78,14 +78,18 @@ def fit_c_N_scaling(
     variance at small c_N.
     """
     if len(N_grid) < 4:
-        raise ValueError("need a grid of at least 4 N values")
-    if sorted(N_grid) != list(N_grid):
-        raise ValueError("N grid must be increasing")
+        raise ValueError(
+            f"N grid needs at least 4 values, got {list(N_grid)}"
+        )
+    if any(a >= b for a, b in zip(N_grid, N_grid[1:])):
+        raise ValueError(
+            f"N grid must be strictly increasing, got {list(N_grid)}"
+        )
     params = Params(alpha, beta)
     points = []
-    for k, N in enumerate(N_grid):
+    for N, child in zip(N_grid, rng.spawn(len(N_grid))):
         model = PartitionModel.pareto(alpha, N, beta)
-        est = estimate_c_N_conditional(model, replicas, rng.substream(k))
+        est = estimate_c_N_conditional(model, replicas, child)
         points.append(ScalingPoint(N=N, c_hat=est.value, stderr=est.stderr))
     Ns = np.array([p.N for p in points], dtype=float)
     c = np.array([p.c_hat for p in points])

@@ -1,10 +1,12 @@
 """Random variates, heavy-tailed sums, and stable-limit scaling constants.
 
 The RNG is counter-based (Philox keyed through numpy's SeedSequence), so a
-(seed, stream_index) pair pins down the whole variate sequence and distinct
-stream indices give statistically independent streams that can be consumed
-in any order. Replica loops run in fixed blocks on spawned streams over one
-thread per CPU, so their results do not depend on the thread count.
+(seed, stream_index) pair pins down the whole variate sequence. Every
+derived stream is a spawned SeedSequence child (`RngStream.spawn`): a
+stream never hands out the same child twice, and a child is independent of
+its parent, its siblings and every root whose index fits in 32 bits.
+Replica loops run in fixed blocks on spawned streams over one thread per
+CPU, so their results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -18,18 +20,20 @@ import numpy as np
 from .specfun import EULER_GAMMA
 
 
-@dataclass
+@dataclass(eq=False)
 class RngStream:
-    """Deterministic random stream identified by (seed, stream_index)."""
+    """Deterministic random stream rooted at (seed, stream_index).
+
+    Child streams come only from `spawn`: numpy's SeedSequence.spawn on this
+    stream's SeedSequence, built lazily on first use. Streams compare by
+    identity: two with the same (seed, stream_index) may draw different
+    numbers.
+    """
 
     seed: int
     stream_index: int = 0
-    _seq: np.random.SeedSequence | None = field(
-        default=None, repr=False, compare=False
-    )
-    _gen: np.random.Generator | None = field(
-        default=None, repr=False, compare=False
-    )
+    _seq: np.random.SeedSequence | None = field(default=None, repr=False)
+    _gen: np.random.Generator | None = field(default=None, repr=False)
 
     @property
     def seq(self) -> np.random.SeedSequence:
@@ -54,10 +58,6 @@ class RngStream:
         """n child streams, fresh on every call (SeedSequence.spawn)."""
         return [RngStream(self.seed, self.stream_index, _seq=c)
                 for c in self.seq.spawn(n)]
-
-    def substream(self, j: int) -> "RngStream":
-        """Derive an independent child stream; deterministic in (self, j)."""
-        return RngStream(self.seed, self.stream_index * 1_000_003 + j + 1)
 
     def uniform_open(self, size) -> np.ndarray:
         """Uniforms on (0, 1]: never 0, so inverse-CDF maps stay finite."""

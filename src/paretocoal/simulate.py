@@ -287,8 +287,7 @@ def functional_scaling_report(
     params = family_params(family, alpha, beta)
 
     rows: list[FunctionalReportRow] = []
-    for idx, n0 in enumerate(sorted(sizes)):
-        stream = rng.substream(idx)
+    for n0, stream in zip(sorted(sizes), rng.spawn(len(sizes))):
         if family == "kingman":
             samples = kingman_functionals(n0, replicas, stream)
         else:

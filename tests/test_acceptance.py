@@ -389,8 +389,8 @@ class TestCriterion09ForwardModel:
         rng = RngStream(109, 60)
         reps = 40_000
         vals = np.empty(reps)
-        for r in range(reps):
-            vals[r] = math.exp(beta * increments(cfg, rng.substream(r)).sum())
+        for r, child in enumerate(rng.spawn(reps)):
+            vals[r] = math.exp(beta * increments(cfg, child).sum())
         lhs, lhs_se = vals.mean(), vals.std(ddof=1) / math.sqrt(reps)
         aux = RngStream(109, 61)
         f1 = aux.gen.gamma(N + 1, size=100_000) ** (-beta / alpha)

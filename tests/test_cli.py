@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from paretocoal.cli import ExperimentConfig, main
+from paretocoal.cli import main
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -19,31 +19,6 @@ def data_rows(text):
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     header, rows = lines[0], lines[1:]
     return header.split(","), [r.split(",") for r in rows]
-
-
-class TestConfigRoundTrip:
-    def test_round_trip_exact(self):
-        configs = [
-            ExperimentConfig(command="rates", alpha=0.5, beta=0.0, i_max=4),
-            ExperimentConfig(
-                command="scaling-fit",
-                alpha=1.5,
-                beta=0.0,
-                N_grid=(100, 316, 1000, 3162),
-                replicas=500,
-                seed=11,
-            ),
-            ExperimentConfig(command="forward", alpha=1.0, N=50,
-                             generations=10, kind="speed", seed=3),
-        ]
-        for cfg in configs:
-            assert ExperimentConfig.parse(cfg.serialize()) == cfg
-
-    def test_serialized_is_json(self):
-        cfg = ExperimentConfig(command="gclt", alpha=3.0, N=100, replicas=1000)
-        doc = json.loads(cfg.serialize())
-        assert doc["command"] == "gclt"
-        assert "theta" not in doc  # unset fields dropped
 
 
 class TestRatesCommand:
@@ -149,6 +124,12 @@ class TestDeterminism:
              "--seed", "77"],
             ["gclt", "--alpha", "3", "--N", "500", "--replicas", "1000",
              "--seed", "77"],
+            ["forward", "--alpha", "1", "--N", "50", "--generations", "100",
+             "--kind", "speed", "--replicas", "4", "--seed", "77"],
+            ["scaling-fit", "--alpha", "1.5", "--N-grid", "20,40,80,160",
+             "--replicas", "500", "--seed", "77"],
+            ["simulate", "--family", "beta", "--alpha", "1.5",
+             "--N-grid", "10,20", "--replicas", "50", "--seed", "77"],
         ):
             _, a = run_cli(args, tmp_path, "a.csv")
             _, b = run_cli(args, tmp_path, "b.csv")
@@ -331,8 +312,13 @@ class TestScalingFitCommand:
         assert len(rows) == 4
 
     def test_grid_validation(self, capsys):
-        rc = main(["scaling-fit", "--alpha", "3", "--N-grid", "100,200"])
-        assert rc == 2
+        for args in (
+            ["--alpha", "3", "--N-grid", "100,200"],
+            ["--alpha", "1.5", "--N-grid", "100,100,100,100",
+             "--replicas", "100"],
+        ):
+            assert main(["scaling-fit", *args]) == 2, args
+            assert "N grid" in capsys.readouterr().err, args
 
 
 class TestNanInputs:

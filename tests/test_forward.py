@@ -202,8 +202,8 @@ class TestDrift:
         rng = RngStream(81)
         reps = 40_000
         vals = np.empty(reps)
-        for r in range(reps):
-            incs = increments(cfg, rng.substream(r))
+        for r, child in enumerate(rng.spawn(reps)):
+            incs = increments(cfg, child)
             vals[r] = math.exp(beta * incs.sum())
         lhs = vals.mean()
         lhs_se = vals.std(ddof=1) / math.sqrt(reps)

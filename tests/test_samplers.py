@@ -48,8 +48,19 @@ class TestRngStream:
         b = RngStream(42, 1).gen.random(100)
         assert not np.array_equal(a, b)
 
-    def test_substream_deterministic(self):
-        assert RngStream(7, 2).substream(5) == RngStream(7, 2).substream(5)
+    def test_spawned_children_are_new_streams(self):
+        parent = RngStream(7)
+        children = parent.spawn(3)
+        for k, child in enumerate(children):
+            assert child != parent
+            assert all(child != other for other in children[k + 1:])
+        first = [c.gen.random(8) for c in children]
+        roots = [RngStream(7, j).gen.random(8) for j in range(4)]
+        for draws in first:
+            assert not any(np.array_equal(draws, r) for r in roots)
+        again = [c.gen.random(8) for c in RngStream(7).spawn(3)]
+        for a, b in zip(first, again):
+            assert_array_equal(a, b)
 
     def test_negative_seed_and_stream_accepted(self):
         a = RngStream(-12345, -7).gen.random(64)
