@@ -27,7 +27,7 @@ from .forward import (
 )
 from .rates import I_MAX_CAP, Params, build_rate_table, xi_transition_matrix
 from .regression import fit_c_N_scaling
-from .samplers import RngStream, standardized_sum_stats
+from .samplers import BIT_GENERATOR, RngStream, standardized_sum_stats
 from .simulate import (
     family_params,
     functional_scaling_report,
@@ -67,7 +67,7 @@ def _provenance(config: ExperimentConfig) -> str:
     return (
         f"# seed={config.seed}, params={json.dumps(params, sort_keys=True)}, "
         f"version={__version__}, numpy={np.__version__}, "
-        f"bitgen={type(RngStream(0).gen.bit_generator).__name__}"
+        f"bitgen={BIT_GENERATOR.__name__}"
     )
 
 

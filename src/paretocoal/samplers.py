@@ -1,12 +1,12 @@
 """Random variates, heavy-tailed sums, and stable-limit scaling constants.
 
-The RNG is counter-based (Philox keyed through numpy's SeedSequence), so a
-(seed, stream_index) pair pins down the whole variate sequence. Every
+Every stream is a PCG64DXSM generator keyed through numpy's SeedSequence,
+so a (seed, stream_index) pair pins down the whole variate sequence. Every
 derived stream is a spawned SeedSequence child (`RngStream.spawn`): a
 stream never hands out the same child twice, and a child is independent of
-its parent, its siblings and every root whose index fits in 32 bits.
-Replica loops run in fixed blocks on spawned streams over one thread per
-CPU, so their results do not depend on the thread count.
+its parent, its siblings and every root. Replica loops run in fixed blocks
+on spawned streams over one thread per CPU, so their results do not depend
+on the thread count.
 """
 
 from __future__ import annotations
@@ -19,15 +19,20 @@ import numpy as np
 
 from .specfun import EULER_GAMMA
 
+# The bit generator behind every stream; provenance lines name it.
+BIT_GENERATOR = np.random.PCG64DXSM
+
 
 @dataclass(eq=False)
 class RngStream:
     """Deterministic random stream rooted at (seed, stream_index).
 
-    Child streams come only from `spawn`: numpy's SeedSequence.spawn on this
-    stream's SeedSequence, built lazily on first use. Streams compare by
-    identity: two with the same (seed, stream_index) may draw different
-    numbers.
+    The generator is BIT_GENERATOR over this stream's SeedSequence, both
+    built lazily on first use. A root's spawn key is the 64-bit stream
+    index as two 32-bit words; child streams come only from `spawn`
+    (numpy's SeedSequence.spawn), whose keys are three words or more, so
+    no root draws what a child draws. Streams compare by identity: two
+    with the same (seed, stream_index) may draw different numbers.
     """
 
     seed: int
@@ -42,16 +47,17 @@ class RngStream:
             # SeedSequence wants unsigned words; map signed 64-bit values
             # through two's complement so negative seeds/indices stay valid.
             mask = (1 << 64) - 1
+            index = int(self.stream_index) & mask
             self._seq = np.random.SeedSequence(
                 entropy=int(self.seed) & mask,
-                spawn_key=(int(self.stream_index) & mask,),
+                spawn_key=(index & 0xFFFFFFFF, index >> 32),
             )
         return self._seq
 
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(self.seq))
+            self._gen = np.random.Generator(BIT_GENERATOR(self.seq))
         return self._gen
 
     def spawn(self, n: int) -> list["RngStream"]:

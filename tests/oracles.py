@@ -6,12 +6,13 @@ algebraic-weight adaptive rule (quad with weight="alg"), which handles the
 endpoint singularities of beta densities natively. Integrands are written
 with expm1/log1p or explicit polynomial forms so they stay accurate where
 naive evaluation cancels. The size-biased Pareto c_N integrates Laplace
-transforms with mpmath's tanh-sinh rule. Transition-matrix entries of the
-discrete chain come from sums over compositions and, at alpha = 0, from
-exact integer Stirling numbers. Alternative algebraic routes (the moment
-form of the Lambda rates and of the finite-N merger probabilities, the
-product form of the Xi merger probabilities) live here too, as independent
-cross-checks of the package's own recursions and estimators.
+transforms with mpmath's tanh-sinh rule, and so does the exact speed of the
+forward model. Transition-matrix entries of the discrete chain come from
+sums over compositions and, at alpha = 0, from exact integer Stirling
+numbers. Alternative algebraic routes (the moment form of the Lambda rates
+and of the finite-N merger probabilities, the product form of the Xi merger
+probabilities) live here too, as independent cross-checks of the package's
+own recursions and estimators.
 """
 
 from __future__ import annotations
@@ -287,6 +288,21 @@ def frechet_mean(alpha: float) -> float:
     if alpha <= 1.0:
         raise ValueError("the Frechet mean is finite only for alpha > 1")
     return math.exp(special.gammaln(1.0 - 1.0 / alpha))
+
+
+def forward_speed_exact(N: int, alpha: float) -> float:
+    """v_N, the forward model's exact speed per generation.
+
+    v_N = (-psi(N+1) + E ln(Y_1 + ... + Y_N)) / alpha with Y_n unit
+    Pareto. Frullani's ln s = int_0^inf (e^-t - e^-st) dt/t and the
+    Laplace transform E e^-tY = E_2(t) give
+    E ln sum Y = int_0^inf (e^-t - E_2(t)^N) dt/t, by tanh-sinh quadrature.
+    """
+    with mp.workdps(20):
+        growth = mp.quad(
+            lambda t: (mp.exp(-t) - mp.expint(2, t) ** N) / t, [0, 1, mp.inf]
+        )
+        return float((growth - mp.digamma(N + 1)) / alpha)
 
 
 def kingman_tagged_branch_exact(i: int) -> float:

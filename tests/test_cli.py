@@ -62,7 +62,7 @@ class TestRatesCommand:
         first = text.splitlines()[0]
         assert first.startswith("# seed=9, params=")
         assert "version=" in first
-        assert f", numpy={np.__version__}, bitgen=Philox" in first
+        assert f", numpy={np.__version__}, bitgen=PCG64DXSM" in first
 
     def test_xi_matrix_subcommand_guard(self, tmp_path, capsys):
         rc = main(["xi-matrix", "--alpha", "1.5"])

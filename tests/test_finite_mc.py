@@ -222,14 +222,28 @@ class TestMomentForm:
         assert abs(est.value - gamma_partition_c_N_exact(theta, N)) < 3 * est.stderr
 
     def test_agrees_with_occupancy_estimator(self):
-        # Heavy-tailed segments make the alternating sum very noisy (the
-        # estimator says so itself); agreement still holds within its own
-        # error bars.
+        # Heavy-tailed segments make the alternating sum very noisy, and
+        # the estimator may say so itself; agreement still holds within
+        # its own error bars.
         model = PartitionModel.pareto(1.5, 200)
-        with pytest.warns(RuntimeWarning, match="alternating sum"):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*alternating sum", RuntimeWarning)
             a = moment_form(model, 3, 2, 150_000, RngStream(39))
         b = estimate_p_row(model, 3, 60_000, RngStream(40))[1]
         assert abs(a.value - b.value) < 3 * combined_se(a, b)
+
+    def test_warns_only_when_noisier_than_its_value(self):
+        # i = j = 2 on two segments: a row (x1, x2) scores 1 - 2 (x1/(x1+x2))^2.
+        steady = [np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 1.0]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_moment_form(steady, 2, 2)
+        assert est == (0.5, 0.0)
+        noisy = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0]])]
+        with pytest.warns(RuntimeWarning, match="alternating sum"):
+            est = estimate_moment_form(noisy, 2, 2)
+        assert est.value == pytest.approx(1.0 / 6.0)
+        assert est.stderr > est.value
 
     def test_agrees_tightly_for_concentrated_segments(self):
         model = PartitionModel.gamma(2.0, 100)

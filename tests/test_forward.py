@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
-from oracles import frechet_mean
+from oracles import forward_speed_exact, frechet_mean
 from paretocoal import forward
 from paretocoal.forward import (
     ForwardConfig,
@@ -169,6 +169,12 @@ class TestDrift:
         oracle = sel + growth.value
         se = math.hypot(est.stderr, growth.stderr)
         assert abs(est.value - oracle) < 3 * se
+
+    @pytest.mark.parametrize("N, alpha, seed", [(100, 1.0, 99), (10_000, 1.5, 100)])
+    def test_speed_against_exact(self, N, alpha, seed):
+        cfg = ForwardConfig(N=N, alpha=alpha, generations=120)
+        est = speed_estimate(cfg, 60, RngStream(seed))
+        assert abs(est.value - forward_speed_exact(N, alpha)) < 3 * est.stderr
 
     def test_speed_scales_inversely_with_alpha(self):
         cfg1 = ForwardConfig(N=100, alpha=1.0, generations=120)

@@ -63,11 +63,17 @@ class TestRngStream:
             assert_array_equal(a, b)
 
     def test_negative_seed_and_stream_accepted(self):
-        a = RngStream(-12345, -7).gen.random(64)
-        b = RngStream(-12345, -7).gen.random(64)
-        assert_array_equal(a, b)
-        c = RngStream(-12345, 7).gen.random(64)
-        assert not np.array_equal(a, c)
+        # Each root is reproducible and differs from its would-be twin: the
+        # same index with the sign flipped, or a spawned child whose key
+        # words a 64-bit root index could spell out.
+        pairs = [
+            ((-12345, -7), RngStream(-12345, 7)),
+            ((5, 2**32 + 1), RngStream(5, 1).spawn(2)[1]),
+        ] + [((9, k << 32), RngStream(9, 0).spawn(k + 1)[k]) for k in (1, 3)]
+        for (seed, index), twin in pairs:
+            a = RngStream(seed, index).gen.random(64)
+            assert_array_equal(a, RngStream(seed, index).gen.random(64))
+            assert not np.array_equal(a, twin.gen.random(64))
 
     def test_uniform_open_excludes_zero(self):
         u = RngStream(0).uniform_open(100000)
