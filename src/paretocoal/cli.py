@@ -1,9 +1,9 @@
 """Command-line front end: tables, Monte Carlo runs, sweeps, CSV output.
 
-Every run prints a provenance comment line (seed, parameters, version,
-numpy version, bit generator) followed by a CSV table, and a given
-(config, seed) pair always produces byte-identical output. A JSON config
-document can seed any run; explicit flags override fields from the file.
+Every run prints a provenance comment line (seed, the flags read, version,
+numpy version, bit generator) followed by a CSV table, and the same flags
+always produce byte-identical output. Each subcommand takes only the flags
+its handler reads; a --config JSON file's entries are read as flags.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,36 +36,11 @@ from .simulate import (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One run: the command plus every knob it may read; unused fields
-    stay None."""
-
-    command: str
-    family: str | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    theta: float | None = None
-    N: int | None = None
-    N_grid: tuple[int, ...] | None = None
-    i: int | None = None
-    i_max: int | None = None
-    replicas: int | None = None
-    generations: int | None = None
-    seed: int = 0
-    trajectory: bool = False
-    kind: str | None = None
-    out: str | None = None
-
-
-def _provenance(config: ExperimentConfig) -> str:
-    params = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in dataclasses.asdict(config).items()
-        if v is not None and k not in ("out", "seed", "command")
-    }
+def _provenance(args: argparse.Namespace) -> str:
+    reads = _HANDLERS[args.command][1].split()
+    params = {k: v for k, v in vars(args).items() if k in reads and v is not None}
     return (
-        f"# seed={config.seed}, params={json.dumps(params, sort_keys=True)}, "
+        f"# seed={args.seed}, params={json.dumps(params, sort_keys=True)}, "
         f"version={__version__}, numpy={np.__version__}, "
         f"bitgen={BIT_GENERATOR.__name__}"
     )
@@ -88,10 +63,10 @@ def _csv(header: str, rows, comments=()) -> str:
 # Subcommand handlers; each returns the CSV body (without provenance).
 
 
-def _cmd_rates(cfg: ExperimentConfig) -> str:
-    alpha = _require(cfg.alpha, "--alpha")
-    beta = cfg.beta if cfg.beta is not None else 0.0
-    i_max = cfg.i_max if cfg.i_max is not None else 20
+def _cmd_rates(args: argparse.Namespace) -> str:
+    alpha = _require(args.alpha, "--alpha")
+    beta = args.beta if args.beta is not None else 0.0
+    i_max = args.i_max if args.i_max is not None else 20
     if alpha < 1.0:
         table = xi_transition_matrix(Params(alpha, beta), i_max)
     else:
@@ -99,26 +74,30 @@ def _cmd_rates(cfg: ExperimentConfig) -> str:
     return table.to_csv()
 
 
-def _cmd_xi_matrix(cfg: ExperimentConfig) -> str:
-    if not 0.0 <= _require(cfg.alpha, "--alpha") < 1.0:
+def _cmd_xi_matrix(args: argparse.Namespace) -> str:
+    if not 0.0 <= _require(args.alpha, "--alpha") < 1.0:
         raise ValueError("xi-matrix requires 0 <= alpha < 1")
-    return _cmd_rates(cfg)
+    return _cmd_rates(args)
 
 
-def _model_from(cfg: ExperimentConfig) -> PartitionModel:
-    family = cfg.family or ("gamma" if cfg.theta is not None else "pareto")
-    N = _require(cfg.N, "--N")
-    beta = cfg.beta if cfg.beta is not None else 0.0
+def _model_from(args: argparse.Namespace) -> PartitionModel:
+    family = args.family or ("gamma" if args.theta is not None else "pareto")
+    N = _require(args.N, "--N")
+    beta = args.beta if args.beta is not None else 0.0
     if family == "gamma":
-        return PartitionModel.gamma(_require(cfg.theta, "--theta"), N, beta)
-    return PartitionModel.pareto(_require(cfg.alpha, "--alpha"), N, beta)
+        _unread(args, "by the gamma family", "alpha")
+        return PartitionModel.gamma(_require(args.theta, "--theta"), N, beta)
+    if family == "pareto":
+        _unread(args, "by the pareto family", "theta")
+        return PartitionModel.pareto(_require(args.alpha, "--alpha"), N, beta)
+    raise ValueError(f"--family must be 'pareto' or 'gamma', got {family!r}")
 
 
-def _cmd_finite_mc(cfg: ExperimentConfig) -> str:
-    model = _model_from(cfg)
-    i = cfg.i if cfg.i is not None else 2
-    replicas = cfg.replicas if cfg.replicas is not None else 10_000
-    rng = RngStream(cfg.seed)
+def _cmd_finite_mc(args: argparse.Namespace) -> str:
+    model = _model_from(args)
+    i = args.i if args.i is not None else 2
+    replicas = args.replicas if args.replicas is not None else 10_000
+    rng = RngStream(args.seed)
     row = estimate_p_row(model, i, replicas, rng)
     comments = []
     rows = []
@@ -132,12 +111,12 @@ def _cmd_finite_mc(cfg: ExperimentConfig) -> str:
     return _csv("i,j,estimate,stderr,ess,replicas", rows, comments)
 
 
-def _cmd_scaling_fit(cfg: ExperimentConfig) -> str:
-    alpha = _require(cfg.alpha, "--alpha")
-    beta = cfg.beta if cfg.beta is not None else 0.0
-    grid = _require(cfg.N_grid, "--N-grid")
-    replicas = cfg.replicas if cfg.replicas is not None else 10_000
-    fit = fit_c_N_scaling(alpha, beta, list(grid), replicas, RngStream(cfg.seed))
+def _cmd_scaling_fit(args: argparse.Namespace) -> str:
+    alpha = _require(args.alpha, "--alpha")
+    beta = args.beta if args.beta is not None else 0.0
+    grid = _require(args.N_grid, "--N-grid")
+    replicas = args.replicas if args.replicas is not None else 10_000
+    fit = fit_c_N_scaling(alpha, beta, grid, replicas, RngStream(args.seed))
     comments = [
         f"# fit: regime={fit.regime}, predictor={fit.predictor!r}, "
         f"slope={fit.slope:.12g}, slope_se={fit.slope_se:.12g}, "
@@ -153,29 +132,36 @@ def _cmd_scaling_fit(cfg: ExperimentConfig) -> str:
     return _csv("N,c_hat,stderr", rows, comments)
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> str:
-    family = _require(cfg.family, "--family")
-    beta = cfg.beta if cfg.beta is not None else 0.0
-    rng = RngStream(cfg.seed)
-    if cfg.trajectory:
-        n0 = _require(cfg.N, "--N")
+def _cmd_simulate(args: argparse.Namespace) -> str:
+    family = _require(args.family, "--family")
+    if family in ("kingman", "bs"):
+        _unread(args, f"by --family {family}", "alpha")
+    if family == "kingman":
+        _unread(args, "by --family kingman", "beta")
+    beta = args.beta if args.beta is not None else 0.0
+    rng = RngStream(args.seed)
+    if args.trajectory:
+        _unread(args, "with --trajectory", "N_grid", "replicas")
+        n0 = _require(args.N, "--N")
         if family == "xi":
             if not 1 <= n0 <= I_MAX_CAP:
                 raise ValueError(
                     f"--N must be in 1..{I_MAX_CAP} for the xi family, got {n0}"
                 )
             matrix = xi_transition_matrix(
-                Params(_require(cfg.alpha, "--alpha"), beta), n0
+                Params(_require(args.alpha, "--alpha"), beta), n0
             )
             states, _ = simulate_xi(matrix, n0, rng)
         else:
-            params = family_params(family, cfg.alpha, beta)
+            params = family_params(family, args.alpha, beta)
             states, _ = simulate_lambda(params, n0, rng)
         return _csv("time_or_step,blocks", ((s.when, s.blocks) for s in states))
-    sizes = list(cfg.N_grid) if cfg.N_grid else [_require(cfg.N, "--N")]
-    replicas = cfg.replicas if cfg.replicas is not None else 1000
+    if args.N_grid:
+        _unread(args, "with --N-grid", "N")
+    sizes = args.N_grid or [_require(args.N, "--N")]
+    replicas = args.replicas if args.replicas is not None else 1000
     rows = functional_scaling_report(
-        family, sizes, replicas, rng, alpha=cfg.alpha, beta=beta
+        family, sizes, replicas, rng, alpha=args.alpha, beta=beta
     )
     return _csv(
         "family,n0,functional,mean,stderr,reference,ratio",
@@ -183,30 +169,28 @@ def _cmd_simulate(cfg: ExperimentConfig) -> str:
     )
 
 
-def _cmd_forward(cfg: ExperimentConfig) -> str:
+def _cmd_forward(args: argparse.Namespace) -> str:
     config = ForwardConfig(
-        N=_require(cfg.N, "--N"),
-        alpha=_require(cfg.alpha, "--alpha"),
-        generations=cfg.generations if cfg.generations is not None else 100,
+        N=_require(args.N, "--N"),
+        alpha=_require(args.alpha, "--alpha"),
+        generations=args.generations if args.generations is not None else 100,
     )
-    rng = RngStream(cfg.seed)
-    if (cfg.kind or "trajectory") == "trajectory":
-        states = trajectory(config, rng)
-        return _csv(
-            "k,log_global,log_holder_mean,log_fittest",
-            [
-                (s.k, s.log_global, s.log_holder_mean, s.log_fittest)
-                for s in states
-            ],
-        )
-    if cfg.kind == "pressure":
+    kind = args.kind or "trajectory"
+    if kind != "speed":
+        _unread(args, f"by --kind {kind}", "replicas")
+    if kind == "pressure":
+        _unread(args, "by --kind pressure", "generations")
+    rng = RngStream(args.seed)
+    if kind == "trajectory":
+        fields = "k", "log_global", "log_holder_mean", "log_fittest"
+        rows = map(attrgetter(*fields), trajectory(config, rng))
+        return _csv(",".join(fields), rows)
+    if kind == "pressure":
         alpha = config.alpha
         grid = np.linspace(-5.0, 0.95 * alpha, 60)
         rows = [(float(b), pressure(alpha, config.N, float(b))) for b in grid]
         return _csv("beta,pressure", rows)
-    if cfg.kind != "speed":
-        raise ValueError("--kind must be 'trajectory', 'speed' or 'pressure'")
-    replicas = cfg.replicas if cfg.replicas is not None else 20
+    replicas = args.replicas if args.replicas is not None else 20
     est = speed_estimate(config, replicas, rng)
     sel, growth = per_step_mean_parts(config, 10 * replicas, rng)
     rows = [
@@ -218,11 +202,11 @@ def _cmd_forward(cfg: ExperimentConfig) -> str:
     return _csv("quantity,value,stderr,replicas", rows)
 
 
-def _cmd_gclt(cfg: ExperimentConfig) -> str:
-    alpha = _require(cfg.alpha, "--alpha")
-    N = _require(cfg.N, "--N")
-    replicas = cfg.replicas if cfg.replicas is not None else 1000
-    stats = standardized_sum_stats(alpha, N, replicas, RngStream(cfg.seed))
+def _cmd_gclt(args: argparse.Namespace) -> str:
+    alpha = _require(args.alpha, "--alpha")
+    N = _require(args.N, "--N")
+    replicas = args.replicas if args.replicas is not None else 1000
+    stats = standardized_sum_stats(alpha, N, replicas, RngStream(args.seed))
     c = stats.constants
     rows = [
         ("a_N", c.a_N),
@@ -238,21 +222,49 @@ def _cmd_gclt(cfg: ExperimentConfig) -> str:
     return _csv("quantity,value", rows)
 
 
+# Each subcommand's handler and the flags it reads; its parser takes these
+# plus --config, --seed and --out.
 _HANDLERS = {
-    "rates": _cmd_rates,
-    "xi-matrix": _cmd_xi_matrix,
-    "finite-mc": _cmd_finite_mc,
-    "scaling-fit": _cmd_scaling_fit,
-    "simulate": _cmd_simulate,
-    "forward": _cmd_forward,
-    "gclt": _cmd_gclt,
+    "rates": (_cmd_rates, "alpha beta i_max"),
+    "xi-matrix": (_cmd_xi_matrix, "alpha beta i_max"),
+    "finite-mc": (_cmd_finite_mc, "family alpha theta N beta i replicas"),
+    "scaling-fit": (_cmd_scaling_fit, "alpha beta N_grid replicas"),
+    "simulate": (_cmd_simulate, "family alpha beta N N_grid replicas trajectory"),
+    "forward": (_cmd_forward, "alpha N generations kind replicas"),
+    "gclt": (_cmd_gclt, "alpha N replicas"),
 }
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok]
+
+
+# add_argument keywords of every flag a handler may read.
+_FLAGS = {
+    "family": {},
+    **{k: {"type": float} for k in ("alpha", "beta", "theta")},
+    **{k: {"type": int} for k in ("N", "i", "i_max", "replicas", "generations")},
+    "N_grid": {"type": _int_list, "help": "comma-separated N values"},
+    "trajectory": {"action": "store_true"},
+    "kind": {"choices": ["trajectory", "speed", "pressure"]},
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _require(value, flag: str):
     if value is None:
         raise ValueError(f"missing required option {flag}")
     return value
+
+
+def _unread(args: argparse.Namespace, reason: str, *names: str) -> None:
+    """Reject a flag that the handler reads but would ignore here."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"{_flag(name)} is not read {reason}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -264,67 +276,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON config file; flags override")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--theta", type=float)
-        sp.add_argument("--N", type=int)
-        sp.add_argument(
-            "--N-grid", dest="N_grid", help="comma-separated N values"
-        )
-        sp.add_argument("--i", type=int)
-        sp.add_argument("--i-max", dest="i_max", type=int)
-        sp.add_argument("--replicas", type=int)
-        sp.add_argument("--generations", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--family")
-        sp.add_argument("--trajectory", action="store_true", default=None)
-        sp.add_argument("--kind", choices=["trajectory", "speed", "pressure"])
+    for name, (_, reads) in _HANDLERS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        sp.add_argument("--config", help="JSON file of flags; flags override")
+        for dest in reads.split():
+            sp.add_argument(_flag(dest), **_FLAGS[dest])
+        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out")
     return p
 
 
-def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            base = json.loads(fh.read())
-        base.pop("command", None)
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("config", "command") and v is not None
-    }
-    if "N_grid" in overrides and isinstance(overrides["N_grid"], str):
-        overrides["N_grid"] = tuple(
-            int(tok) for tok in overrides["N_grid"].split(",") if tok
-        )
-    merged = {**base, **overrides}
-    if merged.get("N_grid") is not None:
-        merged["N_grid"] = tuple(merged["N_grid"])
-    if merged.get("seed") is None:
-        merged["seed"] = 0
-    if merged.get("trajectory") is None:
-        merged["trajectory"] = False
-    return ExperimentConfig(command=args.command, **merged)
+def _config_flags(path: str) -> list[str]:
+    """A JSON config's entries as flags; a list is comma-joined."""
+    with open(path) as fh:
+        entries = json.load(fh)
+    flags = []
+    for key, value in entries.items():
+        if value is True:
+            flags.append(_flag(key))
+        elif value is not False:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            flags += [_flag(key), str(value)]
+    return flags
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        body = _HANDLERS[cfg.command](cfg)
-    except (ValueError, TypeError) as exc:
+        if args.config:
+            # The file's flags go before the command line's, which win.
+            argv = [args.command, *_config_flags(args.config), *argv[1:]]
+            args = parser.parse_args(argv)
+        body = _HANDLERS[args.command][0](args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # estimator/runtime failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _provenance(cfg) + "\n" + body
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    text = _provenance(args) + "\n" + body
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -17,6 +17,8 @@ import numpy as np
 from .samplers import RngStream, pareto_sample, replica_blocks
 from .weighted import RatioAccumulator, WeightedEstimate, warn_if_degenerate
 
+_MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class PartitionModel:
@@ -190,10 +192,7 @@ def estimate_c_N_conditional(
 
 
 def run_discrete_coalescent(
-    model: PartitionModel,
-    n0: int,
-    rng: RngStream,
-    max_steps: int = 100_000,
+    model: PartitionModel, n0: int, rng: RngStream
 ) -> DiscreteTrajectory:
     """Iterate the one-step merger dynamics until one block remains.
 
@@ -201,13 +200,14 @@ def run_discrete_coalescent(
     there are surviving blocks. n0 may exceed N (a single-segment partition
     collapses everything in one step). Trajectories are always run unbiased
     (weights enter one-step probability estimates only, not path dynamics).
+    A run still above one block after _MAX_STEPS generations stops there.
     """
     if n0 < 1:
         raise ValueError("need n0 >= 1")
     states = [BlockState(0.0, n0)]
     blocks = n0
     step = 0
-    while blocks > 1 and step < max_steps:
+    while blocks > 1 and step < _MAX_STEPS:
         x = model.draw(model.N, rng)
         cum = np.cumsum(x)
         u = rng.gen.random(blocks) * cum[-1]

@@ -35,7 +35,6 @@ class ForwardConfig:
     N: int
     alpha: float
     generations: int
-    initial_fitnesses: np.ndarray | None = None
 
     def __post_init__(self):
         if self.N < 2:
@@ -44,27 +43,6 @@ class ForwardConfig:
             raise ValueError(f"finite alpha > 0 required, got {self.alpha}")
         if self.generations < 1:
             raise ValueError("generations >= 1 required")
-        if self.initial_fitnesses is not None:
-            x0 = np.asarray(self.initial_fitnesses, dtype=float)
-            if x0.shape != (self.N,) or not np.all(x0 > 0):
-                raise ValueError("initial fitnesses must be N positive reals")
-            object.__setattr__(self, "initial_fitnesses", x0)
-
-    def log_global_start(self) -> float:
-        if self.initial_fitnesses is None:
-            return math.log(self.N) / self.alpha
-        ax = self.alpha * np.log(self.initial_fitnesses)
-        return float(_logsumexp(ax)) / self.alpha
-
-    def log_fittest_start(self) -> float:
-        if self.initial_fitnesses is None:
-            return 0.0
-        return float(np.log(self.initial_fitnesses.max()))
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = a.max()
-    return m + math.log(np.exp(a - m).sum())
 
 
 @dataclass(frozen=True)
@@ -78,13 +56,8 @@ class ForwardState:
 
 
 def initial_state(config: ForwardConfig) -> ForwardState:
-    lg = config.log_global_start()
-    return ForwardState(
-        k=0,
-        log_global=lg,
-        log_holder_mean=lg - math.log(config.N) / config.alpha,
-        log_fittest=config.log_fittest_start(),
-    )
+    """Generation 0 of N unit fitnesses: global fitness N^(1/alpha)."""
+    return ForwardState(0, math.log(config.N) / config.alpha, 0.0, 0.0)
 
 
 # Arrival rows shrink to two numbers at once; small blocks bound memory.
@@ -209,20 +182,20 @@ def pressure(alpha: float, N: int, beta: float) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def legendre(alpha: float, N: int, a: float, tol: float = 1e-8) -> float:
+def legendre(alpha: float, N: int, a: float) -> float:
     """Legendre value of the pressure at slope a: the tangency point.
 
     Returns a*beta_star - pressure(beta_star) where beta_star solves
-    pressure'(beta) = a. The closed-form pressure turns out strictly convex
-    in beta (its exact cumulant counterpart is concave; the asymptotics
-    flip the curvature), so the stationary point is located by
+    pressure'(beta) = a. The closed-form pressure is strictly convex in
+    beta, as its exact counterpart ln E exp(beta Y) is by Holder's
+    inequality, so the stationary point is located by
     golden-section search on the extremum of a*beta - pressure(beta) over
     the bracket [-50, alpha). A stationary point pinned to a bracket edge
     means a is outside the attainable slope range, which is an error. The
     duality diagnostic is unchanged: the line through the result with slope
     a is tangent to the pressure at beta_star.
     """
-    lo, hi = -50.0, alpha - 1e-6
+    lo, hi, tol = -50.0, alpha - 1e-6, 1e-8
 
     def neg_g(b: float) -> float:
         # pressure is convex so a*b - pressure(b) is concave: maximize it.

@@ -62,7 +62,6 @@ def simulate_lambda(
     params: Params,
     n0: int,
     rng: RngStream,
-    max_events: int = _MAX_EVENTS,
     record_trajectory: bool = True,
 ) -> tuple[tuple[BlockState, ...], TreeFunctionals]:
     """One continuous-time trajectory from n0 blocks down to 1.
@@ -92,8 +91,8 @@ def simulate_lambda(
     collisions = 0
     states = [BlockState(0.0, n0)] if record_trajectory else None
     while i > 1:
-        if collisions >= max_events:
-            raise RuntimeError(f"trajectory exceeded {max_events} events")
+        if collisions >= _MAX_EVENTS:
+            raise RuntimeError(f"trajectory exceeded {_MAX_EVENTS} events")
         lam = total[i]
         hold = gen.standard_exponential() / lam
         t += hold
@@ -124,10 +123,7 @@ def simulate_lambda(
 
 
 def simulate_xi(
-    matrix,
-    n0: int,
-    rng: RngStream,
-    max_steps: int = _MAX_EVENTS,
+    matrix, n0: int, rng: RngStream
 ) -> tuple[tuple[BlockState, ...], DiscreteFunctionals]:
     """Discrete chain from the exact transition matrix until absorption."""
     if matrix.kind != "probabilities":
@@ -141,8 +137,8 @@ def simulate_xi(
     collisions = 0
     states = [BlockState(0.0, n0)]
     while i > 1:
-        if steps >= max_steps:
-            raise RuntimeError(f"chain exceeded {max_steps} steps")
+        if steps >= _MAX_EVENTS:
+            raise RuntimeError(f"chain exceeded {_MAX_EVENTS} steps")
         cum = cums.get(i)
         if cum is None:
             cum = np.cumsum(matrix.row(i))

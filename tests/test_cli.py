@@ -1,10 +1,12 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from paretocoal import cli
 from paretocoal.cli import main
 
 
@@ -148,6 +150,106 @@ class TestConfigFile:
         rows = [l for l in text.splitlines() if not l.startswith("#")]
         assert "3,2,3" in rows
         assert not any(r.startswith("4,") for r in rows)  # override took
+
+    @pytest.mark.parametrize(
+        "entries, flags, overrides",
+        [
+            ({"family": "kingman", "N_grid": [10, 20], "replicas": 50,
+              "seed": 3},
+             ["--family", "kingman", "--N-grid", "10,20", "--replicas", "50",
+              "--seed", "3"], []),
+            ({"family": "bs", "N": 30, "trajectory": True, "seed": 6},
+             ["--family", "bs", "--N", "30", "--trajectory", "--seed", "6"],
+             []),
+            ({"family": "kingman", "N": 20, "replicas": 500, "seed": 1},
+             ["--family", "kingman", "--N", "20", "--replicas", "40",
+              "--seed", "1"], ["--replicas", "40"]),
+        ],
+    )
+    def test_config_reads_as_flags(self, entries, flags, overrides, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entries))
+        rc_a, a = run_cli(["simulate", *flags], tmp_path, "a.csv")
+        rc_b, b = run_cli(
+            ["simulate", "--config", str(path), *overrides], tmp_path, "b.csv"
+        )
+        assert rc_a == rc_b == 0 and a and a == b
+
+    @pytest.mark.parametrize(
+        "entries, flag",
+        [({"alpha": 3.0, "theta": 1.0}, "--theta"),
+         ({"alpha": 3.0, "N": "ten"}, "--N")],
+    )
+    def test_bad_entry_exits_two(self, entries, flag, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--config", str(path)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestFlagsRead:
+    def test_help_lists_the_flags_read(self, capsys):
+        total = 0
+        for name, (_, reads) in cli._HANDLERS.items():
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+            expected = {cli._flag(k) for k in reads.split()}
+            assert listed == expected | {"--help", "--config", "--seed", "--out"}
+            total += len(listed) - 1
+        assert total == 53
+
+    def test_unread_flag_exits_two(self, capsys):
+        for name, (_, reads) in cli._HANDLERS.items():
+            for key in set(cli._FLAGS) - set(reads.split()):
+                value = [] if key == "trajectory" else ["1"]
+                with pytest.raises(SystemExit) as exc:
+                    main([name, cli._flag(key), *value])
+                assert exc.value.code == 2, (name, key)
+                assert cli._flag(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["simulate", "--family", "kingman", "--alpha", "1.5", "--N", "20",
+              "--trajectory"], "--alpha"),
+            (["simulate", "--family", "bs", "--alpha", "1.5", "--N", "20"],
+             "--alpha"),
+            (["simulate", "--family", "kingman", "--beta", "0.5", "--N", "20"],
+             "--beta"),
+            (["finite-mc", "--theta", "1", "--alpha", "1.5", "--N", "10",
+              "--replicas", "100"], "--alpha"),
+            (["finite-mc", "--family", "pareto", "--alpha", "1.5", "--theta",
+              "1", "--N", "10"], "--theta"),
+            (["finite-mc", "--family", "beta", "--alpha", "1.5", "--N", "10"],
+             "--family"),
+            (["simulate", "--family", "kingman", "--N", "20", "--trajectory",
+              "--replicas", "10"], "--replicas"),
+            (["simulate", "--family", "kingman", "--N", "20", "--N-grid",
+              "10,20"], "--N is"),
+            (["forward", "--alpha", "1", "--N", "10", "--replicas", "4"],
+             "--replicas"),
+            (["forward", "--alpha", "1", "--N", "10", "--kind", "pressure",
+              "--generations", "5"], "--generations"),
+        ],
+    )
+    def test_ignored_value_exits_two(self, args, flag, tmp_path, capsys):
+        rc, text = run_cli(args, tmp_path)
+        assert rc == 2 and text == ""
+        assert flag in capsys.readouterr().err
+
+    def test_internal_type_error_exits_one(self, monkeypatch, capsys):
+        def broken(args):
+            raise TypeError("internal fault")
+
+        monkeypatch.setitem(
+            cli._HANDLERS, "gclt", (broken, cli._HANDLERS["gclt"][1])
+        )
+        assert main(["gclt", "--alpha", "1", "--N", "10"]) == 1
+        assert "internal fault" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -9,6 +9,7 @@ from oracles import (
     gamma_partition_c_N_exact,
     pareto_c_N_exact,
 )
+from paretocoal import finite_mc
 from paretocoal.finite_mc import (
     PartitionModel,
     estimate_c_N,
@@ -274,13 +275,14 @@ class TestDiscreteCoalescent:
         assert all(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:]))
         assert blocks[-1] == 1
 
-    def test_one_step_matches_row_estimates(self):
+    def test_one_step_matches_row_estimates(self, monkeypatch):
+        monkeypatch.setattr(finite_mc, "_MAX_STEPS", 1)
         model = PartitionModel.gamma(1.0, 100)
         reps = 20_000
         rng = RngStream(44)
         firsts = np.empty(reps, dtype=int)
         for r in range(reps):
-            traj = run_discrete_coalescent(model, 4, rng, max_steps=1)
+            traj = run_discrete_coalescent(model, 4, rng)
             firsts[r] = traj.states[1].blocks
         row = estimate_p_row(model, 4, 40_000, RngStream(45))
         for j in range(1, 5):
@@ -288,9 +290,10 @@ class TestDiscreteCoalescent:
             se = math.sqrt(max(freq * (1 - freq), 1e-12) / reps)
             assert abs(freq - row[j - 1].value) < 3 * math.hypot(se, row[j - 1].stderr)
 
-    def test_truncation_flag(self):
+    def test_truncation_flag(self, monkeypatch):
+        monkeypatch.setattr(finite_mc, "_MAX_STEPS", 2)
         model = PartitionModel.gamma(0.5, 10_000)
-        traj = run_discrete_coalescent(model, 50, RngStream(46), max_steps=2)
+        traj = run_discrete_coalescent(model, 50, RngStream(46))
         assert not traj.absorbed and traj.steps == 2
 
     @pytest.mark.slow

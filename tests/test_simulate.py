@@ -12,7 +12,7 @@ from oracles import (
     lambda_row_betaln,
 )
 from paretocoal.rates import Params, jump_rates
-from paretocoal import samplers
+from paretocoal import samplers, simulate
 from paretocoal.samplers import RngStream
 from paretocoal.simulate import (
     functional_scaling_report,
@@ -106,9 +106,10 @@ class TestSimulateLambda:
             with pytest.raises(ValueError, match="n0 >= 2"):
                 simulate_lambda(KINGMAN, n0, RngStream(0))
 
-    def test_event_guard(self):
+    def test_event_guard(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_EVENTS", 1)
         with pytest.raises(RuntimeError):
-            simulate_lambda(Params(1.5, 0.0), 30, RngStream(56), max_events=1)
+            simulate_lambda(Params(1.5, 0.0), 30, RngStream(56))
 
     def test_scan_is_the_row_inverse_cdf(self):
         # The complemented uniform picks the same j as a search of the
