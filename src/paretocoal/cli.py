@@ -1,9 +1,10 @@
 """Command-line front end: tables, Monte Carlo runs, sweeps, CSV output.
 
-Every run prints a provenance comment line (seed, the flags read, version,
-numpy version, bit generator) followed by a CSV table, and the same flags
-always produce byte-identical output. Each subcommand takes only the flags
-its handler reads; a --config JSON file's entries are read as flags.
+Every run prints a provenance comment line (the seed of a subcommand that
+draws, the flags read, version, numpy version, bit generator) followed by a
+CSV table, and the same flags always produce byte-identical output. Each
+subcommand takes only the flags its handler reads, plus --out. An argument
+@FILE is replaced by FILE's lines, one argument per line.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ from .simulate import (
 def _provenance(args: argparse.Namespace) -> str:
     reads = _HANDLERS[args.command][1].split()
     params = {k: v for k, v in vars(args).items() if k in reads and v is not None}
+    seed = params.pop("seed", None)
+    head = "# " if seed is None else f"# seed={seed}, "
     return (
-        f"# seed={args.seed}, params={json.dumps(params, sort_keys=True)}, "
+        f"{head}params={json.dumps(params, sort_keys=True)}, "
         f"version={__version__}, numpy={np.__version__}, "
         f"bitgen={BIT_GENERATOR.__name__}"
     )
@@ -81,16 +84,13 @@ def _cmd_xi_matrix(args: argparse.Namespace) -> str:
 
 
 def _model_from(args: argparse.Namespace) -> PartitionModel:
-    family = args.family or ("gamma" if args.theta is not None else "pareto")
+    """--theta selects the gamma family, else --alpha the Pareto family."""
     N = _require(args.N, "--N")
     beta = args.beta if args.beta is not None else 0.0
-    if family == "gamma":
-        _unread(args, "by the gamma family", "alpha")
-        return PartitionModel.gamma(_require(args.theta, "--theta"), N, beta)
-    if family == "pareto":
-        _unread(args, "by the pareto family", "theta")
-        return PartitionModel.pareto(_require(args.alpha, "--alpha"), N, beta)
-    raise ValueError(f"--family must be 'pareto' or 'gamma', got {family!r}")
+    if args.theta is not None:
+        _unread(args, "with --theta (the gamma family)", "alpha")
+        return PartitionModel.gamma(args.theta, N, beta)
+    return PartitionModel.pareto(_require(args.alpha, "--alpha"), N, beta)
 
 
 def _cmd_finite_mc(args: argparse.Namespace) -> str:
@@ -99,15 +99,13 @@ def _cmd_finite_mc(args: argparse.Namespace) -> str:
     replicas = args.replicas if args.replicas is not None else 10_000
     rng = RngStream(args.seed)
     row = estimate_p_row(model, i, replicas, rng)
+    rows = [(i, j, e.value, e.stderr, e.ess, e.replicas)
+            for j, e in enumerate(row, start=1)]
     comments = []
-    rows = []
-    for j, est in enumerate(row, start=1):
-        rows.append((i, j, est.value, est.stderr, est.ess, est.replicas))
-        if est.degenerate:
-            comments.append(
-                f"# warning: degenerate weights for (i={i}, j={j}), "
-                f"ess={est.ess:.1f}"
-            )
+    if row[0].degenerate:  # the row's columns share one set of weights
+        comments.append(
+            f"# warning: degenerate weights for row i={i}, ess={row[0].ess:.1f}"
+        )
     return _csv("i,j,estimate,stderr,ess,replicas", rows, comments)
 
 
@@ -156,6 +154,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
             params = family_params(family, args.alpha, beta)
             states, _ = simulate_lambda(params, n0, rng)
         return _csv("time_or_step,blocks", ((s.when, s.blocks) for s in states))
+    if family == "xi":
+        raise ValueError("--family xi needs --trajectory")
     if args.N_grid:
         _unread(args, "with --N-grid", "N")
     sizes = args.N_grid or [_require(args.N, "--N")]
@@ -223,15 +223,17 @@ def _cmd_gclt(args: argparse.Namespace) -> str:
 
 
 # Each subcommand's handler and the flags it reads; its parser takes these
-# plus --config, --seed and --out.
+# plus --out.
 _HANDLERS = {
     "rates": (_cmd_rates, "alpha beta i_max"),
     "xi-matrix": (_cmd_xi_matrix, "alpha beta i_max"),
-    "finite-mc": (_cmd_finite_mc, "family alpha theta N beta i replicas"),
-    "scaling-fit": (_cmd_scaling_fit, "alpha beta N_grid replicas"),
-    "simulate": (_cmd_simulate, "family alpha beta N N_grid replicas trajectory"),
-    "forward": (_cmd_forward, "alpha N generations kind replicas"),
-    "gclt": (_cmd_gclt, "alpha N replicas"),
+    "finite-mc": (_cmd_finite_mc, "alpha theta N beta i replicas seed"),
+    "scaling-fit": (_cmd_scaling_fit, "alpha beta N_grid replicas seed"),
+    "simulate": (
+        _cmd_simulate, "family alpha beta N N_grid replicas trajectory seed"
+    ),
+    "forward": (_cmd_forward, "alpha N generations kind replicas seed"),
+    "gclt": (_cmd_gclt, "alpha N replicas seed"),
 }
 
 
@@ -241,12 +243,13 @@ def _int_list(text: str) -> list[int]:
 
 # add_argument keywords of every flag a handler may read.
 _FLAGS = {
-    "family": {},
+    "family": {"choices": ["kingman", "bs", "beta", "xi"]},
     **{k: {"type": float} for k in ("alpha", "beta", "theta")},
     **{k: {"type": int} for k in ("N", "i", "i_max", "replicas", "generations")},
     "N_grid": {"type": _int_list, "help": "comma-separated N values"},
     "trajectory": {"action": "store_true"},
     "kind": {"choices": ["trajectory", "speed", "pressure"]},
+    "seed": {"type": int, "default": 0},
 }
 
 
@@ -273,43 +276,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coalescents from normalized heavy-tailed sampling: "
         "exact tables, Monte Carlo estimators, and the forward "
         "selection model.",
+        fromfile_prefix_chars="@",
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, reads) in _HANDLERS.items():
         sp = sub.add_parser(name, allow_abbrev=False)
-        sp.add_argument("--config", help="JSON file of flags; flags override")
         for dest in reads.split():
             sp.add_argument(_flag(dest), **_FLAGS[dest])
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out")
     return p
 
 
-def _config_flags(path: str) -> list[str]:
-    """A JSON config's entries as flags; a list is comma-joined."""
-    with open(path) as fh:
-        entries = json.load(fh)
-    flags = []
-    for key, value in entries.items():
-        if value is True:
-            flags.append(_flag(key))
-        elif value is not False:
-            if isinstance(value, list):
-                value = ",".join(map(str, value))
-            flags += [_flag(key), str(value)]
-    return flags
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            # The file's flags go before the command line's, which win.
-            argv = [args.command, *_config_flags(args.config), *argv[1:]]
-            args = parser.parse_args(argv)
         body = _HANDLERS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -153,9 +153,8 @@ def estimate_p_rows_nested(
             v = (j[:, None] == np.arange(1, i + 1)[None, :]).astype(float)
             accs[i].add(log_w, v)
     rows = {i: accs[i].estimates() for i in i_values}
-    for i, row in rows.items():
-        for j, est in enumerate(row, start=1):
-            warn_if_degenerate(est, f"P(i={i}, j={j})")
+    # Every accumulator is fed the same log-weights, so all share one ESS.
+    warn_if_degenerate(rows[i_top][0], f"P rows for i in {i_values}")
     return rows
 
 

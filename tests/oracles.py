@@ -6,13 +6,13 @@ algebraic-weight adaptive rule (quad with weight="alg"), which handles the
 endpoint singularities of beta densities natively. Integrands are written
 with expm1/log1p or explicit polynomial forms so they stay accurate where
 naive evaluation cancels. The size-biased Pareto c_N integrates Laplace
-transforms with mpmath's tanh-sinh rule, and so does the exact speed of the
-forward model. Transition-matrix entries of the discrete chain come from
-sums over compositions and, at alpha = 0, from exact integer Stirling
-numbers. Alternative algebraic routes (the moment form of the Lambda rates
-and of the finite-N merger probabilities, the product form of the Xi merger
-probabilities) live here too, as independent cross-checks of the package's
-own recursions and estimators.
+transforms with mpmath's tanh-sinh rule, and so do the exact speed and the
+k-step moments of the forward model. Transition-matrix entries of the
+discrete chain come from sums over compositions and, at alpha = 0, from
+exact integer Stirling numbers. Alternative algebraic routes (the moment
+form of the Lambda rates and of the finite-N merger probabilities, the
+product form of the Xi merger probabilities) live here too, as independent
+cross-checks of the package's own recursions and estimators.
 """
 
 from __future__ import annotations
@@ -303,6 +303,29 @@ def forward_speed_exact(N: int, alpha: float) -> float:
             lambda t: (mp.exp(-t) - mp.expint(2, t) ** N) / t, [0, 1, mp.inf]
         )
         return float((growth - mp.digamma(N + 1)) / alpha)
+
+
+def forward_moment_exact(N: int, alpha: float, beta: float, k: int) -> float:
+    """E exp(beta * (sum of k forward log increments)), s = beta/alpha < 1.
+
+    One increment is (ln S_N - ln Gamma_(N+1))/alpha with S_N a sum of N
+    unit Pareto variables independent of the Erlang Gamma_(N+1), and the
+    increments are i.i.d., so the moment is
+    (Gamma(N+1-s)/Gamma(N+1) * E S_N^s)^k, where for 0 < s < 1
+    E S^s = s/Gamma(1-s) int_0^inf (1 - E_2(t)^N) t^(-s-1) dt.
+    Past t = 100, E_2(t)^N < e^(-100) is dropped and the rest of the
+    integral is 100^(-s)/s in closed form, which keeps small s accurate.
+    """
+    s = beta / alpha
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"need 0 < beta/alpha < 1, got {s}")
+    with mp.workdps(20):
+        head = mp.quad(
+            lambda t: (1 - mp.expint(2, t) ** N) * t ** (-s - 1), [0, 1, 100]
+        )
+        moment_s = s / mp.gamma(1 - s) * (head + mp.mpf(100) ** -s / s)
+        selection = mp.exp(mp.loggamma(N + 1 - s) - mp.loggamma(N + 1))
+        return float((selection * moment_s) ** k)
 
 
 def kingman_tagged_branch_exact(i: int) -> float:

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import warnings
@@ -60,10 +59,18 @@ class TestRatesCommand:
         assert "beta < alpha" in capsys.readouterr().err
 
     def test_provenance_header(self, tmp_path):
-        rc, text = run_cli(["rates", "--alpha", "3", "--seed", "9"], tmp_path)
+        rc, text = run_cli(
+            ["forward", "--alpha", "1", "--N", "10", "--generations", "3",
+             "--seed", "9"], tmp_path
+        )
         first = text.splitlines()[0]
         assert first.startswith("# seed=9, params=")
         assert "version=" in first
+        assert f", numpy={np.__version__}, bitgen=PCG64DXSM" in first
+        # rates draws nothing, so its line carries no seed
+        rc, text = run_cli(["rates", "--alpha", "3"], tmp_path)
+        first = text.splitlines()[0]
+        assert first.startswith("# params=") and "seed=" not in first
         assert f", numpy={np.__version__}, bitgen=PCG64DXSM" in first
 
     def test_xi_matrix_subcommand_guard(self, tmp_path, capsys):
@@ -102,6 +109,24 @@ class TestFiniteMcCommand:
         assert rc == 2
         assert "--N" in capsys.readouterr().err
 
+    def test_degenerate_row_warns_once(self, tmp_path):
+        # Every column of a row shares one ESS: one warning, one comment.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, text = run_cli(
+                ["finite-mc", "--alpha", "2.5", "--N", "50", "--beta", "200",
+                 "--i", "4", "--replicas", "10000", "--seed", "1"],
+                tmp_path,
+            )
+        assert rc == 0
+        ess_warnings = [w for w in caught
+                        if "weights are degenerate" in str(w.message)]
+        assert len(ess_warnings) == 1
+        comments = [l for l in text.splitlines() if l.startswith("# warning:")]
+        assert comments == ["# warning: degenerate weights for row i=4, ess=1.0"]
+        _, rows = data_rows(text)
+        assert len(rows) == 4
+
 
 class TestDeterminism:
     def test_identical_seed_identical_bytes(self, tmp_path):
@@ -138,14 +163,17 @@ class TestDeterminism:
             assert a == b, args[0]
 
 
+def args_file(tmp_path, args, name="run.args"):
+    """An argparse args file: one argument per line."""
+    path = tmp_path / name
+    path.write_text("".join(f"{a}\n" for a in args))
+    return "@" + str(path)
+
+
 class TestConfigFile:
     def test_config_file_with_flag_override(self, tmp_path):
-        cfg = {"alpha": 3.0, "i_max": 4, "seed": 2}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        rc, text = run_cli(
-            ["rates", "--config", str(path), "--i-max", "3"], tmp_path
-        )
+        at = args_file(tmp_path, ["--alpha", "3.0", "--i-max", "4"])
+        rc, text = run_cli(["rates", at, "--i-max", "3"], tmp_path)
         assert rc == 0
         rows = [l for l in text.splitlines() if not l.startswith("#")]
         assert "3,2,3" in rows
@@ -154,39 +182,43 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "entries, flags, overrides",
         [
-            ({"family": "kingman", "N_grid": [10, 20], "replicas": 50,
-              "seed": 3},
+            (["--family", "kingman", "--N-grid", "10,20", "--replicas", "50",
+              "--seed", "3"],
              ["--family", "kingman", "--N-grid", "10,20", "--replicas", "50",
               "--seed", "3"], []),
-            ({"family": "bs", "N": 30, "trajectory": True, "seed": 6},
+            (["--family", "bs", "--N", "30", "--trajectory", "--seed", "6"],
              ["--family", "bs", "--N", "30", "--trajectory", "--seed", "6"],
              []),
-            ({"family": "kingman", "N": 20, "replicas": 500, "seed": 1},
+            (["--family", "kingman", "--N", "20", "--replicas", "500",
+              "--seed", "1"],
              ["--family", "kingman", "--N", "20", "--replicas", "40",
               "--seed", "1"], ["--replicas", "40"]),
         ],
     )
     def test_config_reads_as_flags(self, entries, flags, overrides, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(entries))
+        at = args_file(tmp_path, entries)
         rc_a, a = run_cli(["simulate", *flags], tmp_path, "a.csv")
-        rc_b, b = run_cli(
-            ["simulate", "--config", str(path), *overrides], tmp_path, "b.csv"
-        )
+        rc_b, b = run_cli(["simulate", at, *overrides], tmp_path, "b.csv")
         assert rc_a == rc_b == 0 and a and a == b
 
     @pytest.mark.parametrize(
         "entries, flag",
-        [({"alpha": 3.0, "theta": 1.0}, "--theta"),
-         ({"alpha": 3.0, "N": "ten"}, "--N")],
+        [(["--alpha", "3.0", "--theta", "1.0"], "--theta"),
+         (["--alpha", "3.0", "--N", "ten"], "--N"),
+         (["--alpha", "3.0", "--i-max", "ten"], "--i-max")],
     )
     def test_bad_entry_exits_two(self, entries, flag, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(entries))
         with pytest.raises(SystemExit) as exc:
-            main(["rates", "--config", str(path)])
+            main(["rates", args_file(tmp_path, entries)])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.args"
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--alpha", "1.5", f"@{missing}"])
+        assert exc.value.code == 2
+        assert "missing.args" in capsys.readouterr().err
 
 
 class TestFlagsRead:
@@ -198,9 +230,9 @@ class TestFlagsRead:
             assert exc.value.code == 0
             listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
             expected = {cli._flag(k) for k in reads.split()}
-            assert listed == expected | {"--help", "--config", "--seed", "--out"}
+            assert listed == expected | {"--help", "--out"}
             total += len(listed) - 1
-        assert total == 53
+        assert total == 43
 
     def test_unread_flag_exits_two(self, capsys):
         for name, (_, reads) in cli._HANDLERS.items():
@@ -222,10 +254,10 @@ class TestFlagsRead:
              "--beta"),
             (["finite-mc", "--theta", "1", "--alpha", "1.5", "--N", "10",
               "--replicas", "100"], "--alpha"),
-            (["finite-mc", "--family", "pareto", "--alpha", "1.5", "--theta",
-              "1", "--N", "10"], "--theta"),
-            (["finite-mc", "--family", "beta", "--alpha", "1.5", "--N", "10"],
-             "--family"),
+            (["simulate", "--family", "xi", "--alpha", "0.5", "--N", "10"],
+             "--family xi needs --trajectory"),
+            (["simulate", "--family", "kingman", "--N", "20", "--trajectory",
+              "--N-grid", "10,20"], "--N-grid"),
             (["simulate", "--family", "kingman", "--N", "20", "--trajectory",
               "--replicas", "10"], "--replicas"),
             (["simulate", "--family", "kingman", "--N", "20", "--N-grid",
@@ -299,6 +331,12 @@ class TestSimulateCommand:
             )
             assert rc == 2 and text == ""
             assert "alpha" in capsys.readouterr().err
+
+    def test_unknown_family_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--family", "foo", "--N", "10", "--trajectory"])
+        assert exc.value.code == 2
+        assert "--family" in capsys.readouterr().err
 
     def test_xi_trajectory_cap_names_N(self, tmp_path, capsys):
         rc, text = run_cli(

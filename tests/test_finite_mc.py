@@ -181,6 +181,19 @@ class TestEstimators:
         with pytest.warns(RuntimeWarning, match="effective sample size"):
             estimate_p_rows_nested(biased, [2, 3], 200_000, RngStream(37))
 
+    def test_degenerate_rows_warn_once(self):
+        # All rows and columns share one set of weights, hence one ESS, so
+        # a call warns once, not once per (i, j).
+        with pytest.warns(RuntimeWarning, match="heavy-tailed weights"):
+            model = PartitionModel.pareto(2.5, 50, beta=200)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = estimate_p_rows_nested(model, [2, 4], 10_000, RngStream(1))
+        assert all(e.degenerate for row in rows.values() for e in row)
+        assert len({e.ess for row in rows.values() for e in row}) == 1
+        assert len(caught) == 1
+        assert "weights are degenerate" in str(caught[0].message)
+
     def test_degenerate_weights_flagged(self):
         # bias close to the tail index: the weight moment barely exists.
         # The ESS grows about as replicas^0.2, so its share falls with the

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
-from oracles import forward_speed_exact, frechet_mean
+from oracles import forward_moment_exact, forward_speed_exact, frechet_mean
 from paretocoal import forward
 from paretocoal.forward import (
     ForwardConfig,
@@ -155,6 +155,34 @@ class TestDrift:
         cfg = ForwardConfig(N=N, alpha=alpha, generations=120)
         est = speed_estimate(cfg, 60, RngStream(seed))
         assert abs(est.value - forward_speed_exact(N, alpha)) < 3 * est.stderr
+
+    def test_growth_part_against_exact(self):
+        # E ln S_N / alpha = v_N + psi(N+1)/alpha, S_N a sum of N unit Pareto.
+        N, alpha = 100, 1.0
+        cfg = ForwardConfig(N=N, alpha=alpha, generations=1)
+        _, growth = per_step_mean_parts(cfg, 200_000, RngStream(102))
+        exact = forward_speed_exact(N, alpha) + special.digamma(N + 1) / alpha
+        assert abs(growth.value - exact) < 3 * growth.stderr
+
+    def test_k_step_moment_against_exact(self):
+        # Increments are i.i.d. over generations, so consecutive k-blocks
+        # of one trajectory are independent draws of the k-step sum. At
+        # s = beta/alpha = 1/4 the summand's tail index is 1/s = 4, so its
+        # variance, and the standard error, are finite.
+        N, alpha, beta, k, reps = 100, 1.0, 0.25, 3, 100_000
+        cfg = ForwardConfig(N=N, alpha=alpha, generations=k * reps)
+        incs = increments(cfg, RngStream(103)).reshape(reps, k)
+        vals = np.exp(beta * incs.sum(axis=1))
+        se = vals.std(ddof=1) / math.sqrt(reps)
+        exact = forward_moment_exact(N, alpha, beta, k)
+        assert abs(vals.mean() - exact) < 3 * se
+
+    def test_moment_oracle_slope_is_the_speed(self):
+        # d/dbeta ln E exp(beta * increment) at beta = 0 is the mean
+        # increment, so the two oracles must agree.
+        h = 1e-5
+        slope = math.log(forward_moment_exact(100, 1.0, h, 1)) / h
+        assert slope == pytest.approx(forward_speed_exact(100, 1.0), abs=1e-4)
 
     def test_speed_scales_inversely_with_alpha(self):
         cfg1 = ForwardConfig(N=100, alpha=1.0, generations=120)
