@@ -3,8 +3,10 @@
 Every run prints a provenance comment line (the seed of a subcommand that
 draws, the flags read, version, numpy version, bit generator) followed by a
 CSV table, and the same flags always produce byte-identical output. Each
-subcommand takes only the flags its handler reads, plus --out. An argument
-@FILE is replaced by FILE's lines, one argument per line.
+subcommand is one computation and takes only the flags it reads, plus
+--out, so only one that draws takes --seed; the flags given pick a mode
+(`finite-mc --theta` the gamma family, `forward --replicas` the speed
+summary). An argument @FILE is replaced by FILE's lines, one argument each.
 """
 
 from __future__ import annotations
@@ -75,12 +77,6 @@ def _cmd_rates(args: argparse.Namespace) -> str:
     else:
         table = build_rate_table(Params(alpha, beta), i_max)
     return table.to_csv()
-
-
-def _cmd_xi_matrix(args: argparse.Namespace) -> str:
-    if not 0.0 <= _require(args.alpha, "--alpha") < 1.0:
-        raise ValueError("xi-matrix requires 0 <= alpha < 1")
-    return _cmd_rates(args)
 
 
 def _model_from(args: argparse.Namespace) -> PartitionModel:
@@ -175,24 +171,13 @@ def _cmd_forward(args: argparse.Namespace) -> str:
         alpha=_require(args.alpha, "--alpha"),
         generations=args.generations if args.generations is not None else 100,
     )
-    kind = args.kind or "trajectory"
-    if kind != "speed":
-        _unread(args, f"by --kind {kind}", "replicas")
-    if kind == "pressure":
-        _unread(args, "by --kind pressure", "generations")
     rng = RngStream(args.seed)
-    if kind == "trajectory":
+    if args.replicas is None:
         fields = "k", "log_global", "log_holder_mean", "log_fittest"
         rows = map(attrgetter(*fields), trajectory(config, rng))
         return _csv(",".join(fields), rows)
-    if kind == "pressure":
-        alpha = config.alpha
-        grid = np.linspace(-5.0, 0.95 * alpha, 60)
-        rows = [(float(b), pressure(alpha, config.N, float(b))) for b in grid]
-        return _csv("beta,pressure", rows)
-    replicas = args.replicas if args.replicas is not None else 20
-    est = speed_estimate(config, replicas, rng)
-    sel, growth = per_step_mean_parts(config, 10 * replicas, rng)
+    est = speed_estimate(config, args.replicas, rng)
+    sel, growth = per_step_mean_parts(config, 10 * args.replicas, rng)
     rows = [
         ("speed", est.value, est.stderr, est.replicas),
         ("selection_part", sel, 0.0, 0),
@@ -200,6 +185,13 @@ def _cmd_forward(args: argparse.Namespace) -> str:
         ("oracle_total", sel + growth.value, growth.stderr, growth.replicas),
     ]
     return _csv("quantity,value,stderr,replicas", rows)
+
+
+def _cmd_pressure(args: argparse.Namespace) -> str:
+    alpha, N = _require(args.alpha, "--alpha"), _require(args.N, "--N")
+    pressure(alpha, N, -5.0)  # checks alpha and N before the grid uses alpha
+    grid = np.linspace(-5.0, 0.95 * alpha, 60).tolist()
+    return _csv("beta,pressure", ((b, pressure(alpha, N, b)) for b in grid))
 
 
 def _cmd_gclt(args: argparse.Namespace) -> str:
@@ -226,13 +218,13 @@ def _cmd_gclt(args: argparse.Namespace) -> str:
 # plus --out.
 _HANDLERS = {
     "rates": (_cmd_rates, "alpha beta i_max"),
-    "xi-matrix": (_cmd_xi_matrix, "alpha beta i_max"),
     "finite-mc": (_cmd_finite_mc, "alpha theta N beta i replicas seed"),
     "scaling-fit": (_cmd_scaling_fit, "alpha beta N_grid replicas seed"),
     "simulate": (
         _cmd_simulate, "family alpha beta N N_grid replicas trajectory seed"
     ),
-    "forward": (_cmd_forward, "alpha N generations kind replicas seed"),
+    "forward": (_cmd_forward, "alpha N generations replicas seed"),
+    "pressure": (_cmd_pressure, "alpha N"),
     "gclt": (_cmd_gclt, "alpha N replicas seed"),
 }
 
@@ -248,7 +240,6 @@ _FLAGS = {
     **{k: {"type": int} for k in ("N", "i", "i_max", "replicas", "generations")},
     "N_grid": {"type": _int_list, "help": "comma-separated N values"},
     "trajectory": {"action": "store_true"},
-    "kind": {"choices": ["trajectory", "speed", "pressure"]},
     "seed": {"type": int, "default": 0},
 }
 

@@ -18,6 +18,10 @@ from .samplers import RngStream, pareto_sample, replica_blocks
 from .weighted import RatioAccumulator, WeightedEstimate, warn_if_degenerate
 
 _MAX_STEPS = 100_000
+# A row whose sum lies outside [1/_SAFE_SUM, _SAFE_SUM] is divided by its
+# sum before squaring, so its squared segments neither overflow nor lose
+# digits to underflow; every other row squares its raw draws.
+_SAFE_SUM = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,21 @@ class PartitionModel:
         if self.family == "pareto":
             return pareto_sample(self.alpha, rng, shape)
         return rng.gen.gamma(self.theta, size=shape)
+
+    def draw_rows(self, rows: int, rng: RngStream):
+        """A (rows, N) block and its row sums. A Pareto draw can overflow
+        once alpha < 53/1024 and a gamma draw is 0 at small theta; a sum
+        that is inf or 0 normalizes to no partition, so it raises."""
+        with np.errstate(over="ignore"):
+            x = self.draw((rows, self.N), rng)
+        s = x.sum(axis=1)
+        if not (s.min() > 0 and s.max() < np.inf):
+            law = (f"alpha={self.alpha}" if self.family == "pareto"
+                   else f"theta={self.theta}")
+            raise ValueError(
+                f"a partition row sums to inf or 0 at {law}, N={self.N}"
+            )
+        return x, s
 
 
 @dataclass(frozen=True)
@@ -142,8 +161,8 @@ def estimate_p_rows_nested(
         raise ValueError("replicas >= 2 required")
     i_top = i_values[-1]
     def block(rows, child):
-        x = model.draw((rows, model.N), child)
-        log_w = model.beta * np.log(x.sum(axis=1))
+        x, s = model.draw_rows(rows, child)
+        log_w = model.beta * np.log(s)
         return log_w, _segment_hits(x, child.gen.random((rows, i_top)))
 
     accs = {i: RatioAccumulator(columns=i) for i in i_values}
@@ -178,9 +197,14 @@ def estimate_c_N_conditional(
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
     def block(rows, child):
-        x = model.draw((rows, model.N), child)
-        s = x.sum(axis=1)
-        return model.beta * np.log(s), np.einsum("ij,ij->i", x, x) / (s * s)
+        x, s = model.draw_rows(rows, child)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.einsum("ij,ij->i", x, x) / (s * s)
+        if s.min() < 1.0 / _SAFE_SUM or s.max() > _SAFE_SUM:
+            far = (s < 1.0 / _SAFE_SUM) | (s > _SAFE_SUM)
+            y = x[far] / s[far, None]
+            v[far] = np.einsum("ij,ij->i", y, y)
+        return model.beta * np.log(s), v
 
     acc = RatioAccumulator(columns=1)
     for log_w, v in replica_blocks(replicas, model.N, rng, block):

@@ -170,8 +170,10 @@ def per_step_mean_parts(
 
 def pressure(alpha: float, N: int, beta: float) -> float:
     """Cumulant scaling function of the log mean fitness, beta < alpha."""
-    if not alpha > 0 or N < 3:
-        raise ValueError("need alpha > 0 and N >= 3")
+    if not 0 < alpha < math.inf or N < 3:
+        raise ValueError(
+            f"need finite alpha > 0 and N >= 3, got alpha={alpha}, N={N}"
+        )
     if not beta < alpha:
         raise ValueError("pressure requires beta < alpha")
     loglog = math.log(math.log(N))

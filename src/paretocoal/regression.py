@@ -81,6 +81,9 @@ def fit_c_N_scaling(
         raise ValueError(
             f"N grid needs at least 4 values, got {list(N_grid)}"
         )
+    if min(N_grid) < 2:
+        # c_N = 1 exactly at N = 1: a zero stderr, an infinite fit weight.
+        raise ValueError(f"N grid values must be >= 2, got {list(N_grid)}")
     if any(a >= b for a, b in zip(N_grid, N_grid[1:])):
         raise ValueError(
             f"N grid must be strictly increasing, got {list(N_grid)}"

@@ -21,7 +21,17 @@ from .rates import Params, beta_shape, jump_rates
 from .samplers import RngStream, replica_blocks
 from .weighted import mean_estimate
 
+# Cap on the events of one run. Each Lambda or Kingman event merges at
+# least two blocks, so n0 - 1 bounds the events and n0 is checked before
+# anything is allocated; a Xi chain can stay put, so it counts its steps.
 _MAX_EVENTS = 10_000_000
+
+
+def _check_n0(n0: int) -> None:
+    if n0 < 2:
+        raise ValueError("n0 >= 2 required")
+    if n0 - 1 > _MAX_EVENTS:
+        raise ValueError(f"n0 must be at most {_MAX_EVENTS + 1}, got {n0}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +85,7 @@ def simulate_lambda(
     number of singletons joining each collision is hypergeometric among
     the blocks, which is the exchangeability-consistent allocation.
     """
-    if n0 < 2:
-        raise ValueError("n0 >= 2 required")
+    _check_n0(n0)
     total, binary = jump_rates(params, n0)
     a, b = beta_shape(params)
     ab = a - b
@@ -91,8 +100,6 @@ def simulate_lambda(
     collisions = 0
     states = [BlockState(0.0, n0)] if record_trajectory else None
     while i > 1:
-        if collisions >= _MAX_EVENTS:
-            raise RuntimeError(f"trajectory exceeded {_MAX_EVENTS} events")
         lam = total[i]
         hold = gen.standard_exponential() / lam
         t += hold
@@ -173,8 +180,9 @@ def kingman_functionals(
     lockstep and every functional reduces to array operations. Replicas go
     through samplers.replica_blocks, about 2^20 holding times a block.
     """
-    if n0 < 2 or replicas < 1:
-        raise ValueError("n0 >= 2 and replicas >= 1 required")
+    _check_n0(n0)
+    if replicas < 1:
+        raise ValueError("replicas >= 1 required")
     ivals = np.arange(n0, 1, -1, dtype=float)
     lam = ivals * (ivals - 1.0) / 2.0
 

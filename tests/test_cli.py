@@ -74,19 +74,22 @@ class TestRatesCommand:
         assert f", numpy={np.__version__}, bitgen=PCG64DXSM" in first
 
     def test_xi_matrix_subcommand_guard(self, tmp_path, capsys):
-        rc = main(["xi-matrix", "--alpha", "1.5"])
-        assert rc == 2
+        # rates prints every exact table; the alias is an unknown command
+        with pytest.raises(SystemExit) as exc:
+            main(["xi-matrix", "--alpha", "0.5", "--i-max", "4"])
+        assert exc.value.code == 2
+        assert "xi-matrix" in capsys.readouterr().err
 
     def test_stirling_boundary_case(self, tmp_path):
         rc, text = run_cli(
-            ["xi-matrix", "--alpha", "0", "--beta", "-1", "--i-max", "3"],
+            ["rates", "--alpha", "0", "--beta", "-1", "--i-max", "3"],
             tmp_path,
         )
         assert rc == 0
         assert "2,1,0.5" in text.splitlines()
 
     def test_stirling_needs_negative_bias(self, capsys):
-        rc = main(["xi-matrix", "--alpha", "0", "--beta", "0", "--i-max", "3"])
+        rc = main(["rates", "--alpha", "0", "--beta", "0", "--i-max", "3"])
         assert rc == 2
 
 
@@ -152,7 +155,7 @@ class TestDeterminism:
             ["gclt", "--alpha", "3", "--N", "500", "--replicas", "1000",
              "--seed", "77"],
             ["forward", "--alpha", "1", "--N", "50", "--generations", "100",
-             "--kind", "speed", "--replicas", "4", "--seed", "77"],
+             "--replicas", "4", "--seed", "77"],
             ["scaling-fit", "--alpha", "1.5", "--N-grid", "20,40,80,160",
              "--replicas", "500", "--seed", "77"],
             ["simulate", "--family", "beta", "--alpha", "1.5",
@@ -232,7 +235,7 @@ class TestFlagsRead:
             expected = {cli._flag(k) for k in reads.split()}
             assert listed == expected | {"--help", "--out"}
             total += len(listed) - 1
-        assert total == 43
+        assert total == 41
 
     def test_unread_flag_exits_two(self, capsys):
         for name, (_, reads) in cli._HANDLERS.items():
@@ -262,10 +265,6 @@ class TestFlagsRead:
               "--replicas", "10"], "--replicas"),
             (["simulate", "--family", "kingman", "--N", "20", "--N-grid",
               "10,20"], "--N is"),
-            (["forward", "--alpha", "1", "--N", "10", "--replicas", "4"],
-             "--replicas"),
-            (["forward", "--alpha", "1", "--N", "10", "--kind", "pressure",
-              "--generations", "5"], "--generations"),
         ],
     )
     def test_ignored_value_exits_two(self, args, flag, tmp_path, capsys):
@@ -376,7 +375,7 @@ class TestForwardCommand:
     def test_speed_summary(self, tmp_path):
         rc, text = run_cli(
             ["forward", "--alpha", "1", "--N", "200", "--generations", "120",
-             "--kind", "speed", "--replicas", "10", "--seed", "5"],
+             "--replicas", "10", "--seed", "5"],
             tmp_path,
         )
         assert rc == 0
@@ -390,7 +389,7 @@ class TestForwardCommand:
                 warnings.simplefilter("error")
                 rc, text = run_cli(
                     ["forward", "--alpha", "1", "--N", "100", "--generations",
-                     "100", "--kind", "speed", "--replicas", replicas],
+                     "100", "--replicas", replicas],
                     tmp_path,
                 )
             assert rc == 2 and text == ""
@@ -398,7 +397,7 @@ class TestForwardCommand:
 
     def test_pressure_sweep(self, tmp_path):
         rc, text = run_cli(
-            ["forward", "--alpha", "1", "--N", "10000", "--kind", "pressure"],
+            ["pressure", "--alpha", "1", "--N", "10000"],
             tmp_path,
         )
         assert rc == 0
@@ -408,6 +407,22 @@ class TestForwardCommand:
         assert min(abs(b) for b in by_beta) < 0.1  # grid crosses zero
         # pressure vanishes at beta = 0 and is positive for beta < 0
         assert all(v > 0 for b, v in by_beta.items() if b < -0.1)
+
+    def test_pressure_draws_nothing(self, tmp_path, capsys):
+        rc, text = run_cli(["pressure", "--alpha", "1", "--N", "100"], tmp_path)
+        assert rc == 0
+        first = text.splitlines()[0]
+        assert first.startswith("# params=") and "seed=" not in first
+        with pytest.raises(SystemExit) as exc:
+            main(["pressure", "--alpha", "1", "--N", "100", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_kind_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", "--alpha", "1", "--N", "10", "--kind", "speed"])
+        assert exc.value.code == 2
+        assert "--kind" in capsys.readouterr().err
 
 
 class TestGcltCommand:
@@ -456,6 +471,8 @@ class TestScalingFitCommand:
             ["--alpha", "3", "--N-grid", "100,200"],
             ["--alpha", "1.5", "--N-grid", "100,100,100,100",
              "--replicas", "100"],
+            # c_N = 1 with stderr 0 at N = 1 would get an infinite weight
+            ["--alpha", "0.5", "--N-grid", "1,2,3,4", "--replicas", "100"],
         ):
             assert main(["scaling-fit", *args]) == 2, args
             assert "N grid" in capsys.readouterr().err, args
@@ -474,8 +491,7 @@ class TestNanInputs:
               "--replicas", "100"], "alpha"),
             (["gclt", "--alpha", "nan", "--N", "100", "--replicas", "1000"],
              "alpha"),
-            (["forward", "--alpha", "nan", "--N", "100", "--kind", "pressure"],
-             "alpha"),
+            (["pressure", "--alpha", "nan", "--N", "100"], "alpha"),
             (["rates", "--alpha", "inf", "--i-max", "3"], "alpha"),
             (["forward", "--alpha", "inf", "--N", "10", "--generations", "3"],
              "alpha"),
@@ -483,6 +499,7 @@ class TestNanInputs:
               "--replicas", "100"], "alpha"),
             (["gclt", "--alpha", "inf", "--N", "100", "--replicas", "1000"],
              "alpha"),
+            (["pressure", "--alpha", "inf", "--N", "10"], "alpha"),
         ],
     )
     def test_nan_exits_two_naming_the_parameter(
@@ -491,3 +508,25 @@ class TestNanInputs:
         rc, text = run_cli(args, tmp_path)
         assert rc == 2 and text == ""
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # a Pareto draw U^(-1/alpha) overflows once alpha < 53/1024
+            (["finite-mc", "--alpha", "0.01", "--N", "100",
+              "--replicas", "100"], "alpha=0.01, N=100"),
+            (["scaling-fit", "--alpha", "0.01", "--N-grid", "10,20,40,80",
+              "--replicas", "100"], "alpha=0.01"),
+            # about half of gamma(0.001) draws are exactly 0.0
+            (["finite-mc", "--theta", "0.001", "--N", "10",
+              "--replicas", "1000", "--seed", "3"], "theta=0.001, N=10"),
+        ],
+    )
+    def test_partition_rows_without_a_sum_exit_two(
+        self, args, message, tmp_path, capsys
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, text = run_cli(args, tmp_path)
+        assert rc == 2 and text == ""
+        assert message in capsys.readouterr().err

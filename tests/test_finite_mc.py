@@ -130,6 +130,41 @@ class TestEstimators:
         est = estimate_p_row(model, 2, 20_000, RngStream(29))[0]
         assert abs(est.value - 0.5) < 0.02
 
+    @staticmethod
+    def draw_rows_of(row, monkeypatch):
+        monkeypatch.setattr(
+            PartitionModel, "draw",
+            lambda self, shape, rng: np.tile(row, (shape[0], 1)),
+        )
+
+    @pytest.mark.parametrize(
+        "row, score",
+        # x.x overflows for the first row and underflows to 0 for the second
+        [([1e200, 1.0, 2.0], 1.0), ([1e-200, 3e-200, 0.0], 0.625)],
+    )
+    def test_conditional_score_of_an_extreme_row(self, row, score, monkeypatch):
+        self.draw_rows_of(row, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_c_N_conditional(
+                PartitionModel.pareto(1.5, 3), 10, RngStream(0)
+            )
+        assert est.value == pytest.approx(score, rel=1e-15)
+        assert math.isfinite(est.stderr)
+
+    @pytest.mark.parametrize(
+        "model, row, name",
+        [
+            (PartitionModel.pareto(1.5, 3), [1.0, np.inf, 2.0], "alpha=1.5, N=3"),
+            (PartitionModel.gamma(0.5, 3), [0.0, 0.0, 0.0], "theta=0.5, N=3"),
+        ],
+    )
+    def test_row_without_a_sum_raises(self, model, row, name, monkeypatch):
+        self.draw_rows_of(row, monkeypatch)
+        for estimate in (estimate_c_N, estimate_c_N_conditional):
+            with pytest.raises(ValueError, match=name):
+                estimate(model, 10, RngStream(0))
+
     def test_conditional_matches_indicator(self):
         model = PartitionModel.pareto(1.5, 100, beta=0.5)
         a = estimate_c_N(model, 60_000, RngStream(30))

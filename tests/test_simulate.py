@@ -107,9 +107,15 @@ class TestSimulateLambda:
                 simulate_lambda(KINGMAN, n0, RngStream(0))
 
     def test_event_guard(self, monkeypatch):
+        # n0 - 1 bounds the events, so n0 is refused before any draw.
         monkeypatch.setattr(simulate, "_MAX_EVENTS", 1)
-        with pytest.raises(RuntimeError):
-            simulate_lambda(Params(1.5, 0.0), 30, RngStream(56))
+        rng = RngStream(56)
+        with pytest.raises(ValueError, match="n0"):
+            simulate_lambda(Params(1.5, 0.0), 30, rng)
+        with pytest.raises(ValueError, match="n0"):
+            kingman_functionals(30, 10, rng)
+        assert rng._gen is None and rng._seq is None
+        simulate_lambda(Params(1.5, 0.0), 2, rng)  # one event is allowed
 
     def test_scan_is_the_row_inverse_cdf(self):
         # The complemented uniform picks the same j as a search of the
