@@ -1,18 +1,20 @@
 """Command-line front end: tables, Monte Carlo runs, sweeps, CSV output.
 
 Every run prints a provenance comment line (the seed of a subcommand that
-draws, the flags read, version, numpy version, bit generator) followed by a
-CSV table, and the same flags always produce byte-identical output. Each
-subcommand is one computation and takes only the flags it reads, plus
---out, so only one that draws takes --seed; the flags given pick a mode
-(`finite-mc --theta` the gamma family, `forward --replicas` the speed
-summary). An argument @FILE is replaced by FILE's lines, one argument each.
+draws, the flags given, version, numpy version, bit generator) followed by
+a CSV table, and the same flags always produce byte-identical output. Each
+subcommand is one computation whose flags, plus --out, are its handler's
+keyword parameters: one without a default is required, and a default of
+None marks a flag whose presence picks a mode (`finite-mc --theta` the gamma
+family, `forward --replicas` the speed summary). An argument @FILE is
+replaced by FILE's lines, one argument each.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from operator import attrgetter
@@ -39,9 +41,8 @@ from .simulate import (
 )
 
 
-def _provenance(args: argparse.Namespace) -> str:
-    reads = _HANDLERS[args.command][1].split()
-    params = {k: v for k, v in vars(args).items() if k in reads and v is not None}
+def _provenance(flags: dict) -> str:
+    params = dict(flags)
     seed = params.pop("seed", None)
     head = "# " if seed is None else f"# seed={seed}, "
     return (
@@ -64,37 +65,38 @@ def _csv(header: str, rows, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require(value, flag: str):
+    if value is None:
+        raise ValueError(f"missing required option {flag}")
+    return value
+
+
+def _unread(reason: str, **values) -> None:
+    """Reject a flag that the handler reads but would ignore here."""
+    for name, value in values.items():
+        if value is not None:
+            raise ValueError(f"{_flag(name)} is not read {reason}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers; each returns the CSV body (without provenance).
 
 
-def _cmd_rates(args: argparse.Namespace) -> str:
-    alpha = _require(args.alpha, "--alpha")
-    beta = args.beta if args.beta is not None else 0.0
-    i_max = args.i_max if args.i_max is not None else 20
-    if alpha < 1.0:
-        table = xi_transition_matrix(Params(alpha, beta), i_max)
+def _cmd_rates(*, alpha: float, beta: float = 0.0, i_max: int = 20) -> str:
+    build = xi_transition_matrix if alpha < 1.0 else build_rate_table
+    return build(Params(alpha, beta), i_max).to_csv()
+
+
+def _cmd_finite_mc(
+    *, alpha: float | None = None, theta: float | None = None, N: int,
+    beta: float = 0.0, i: int = 2, replicas: int = 10_000, seed: int = 0,
+) -> str:
+    if theta is not None:
+        _unread("with --theta (the gamma family)", alpha=alpha)
+        model = PartitionModel.gamma(theta, N, beta)
     else:
-        table = build_rate_table(Params(alpha, beta), i_max)
-    return table.to_csv()
-
-
-def _model_from(args: argparse.Namespace) -> PartitionModel:
-    """--theta selects the gamma family, else --alpha the Pareto family."""
-    N = _require(args.N, "--N")
-    beta = args.beta if args.beta is not None else 0.0
-    if args.theta is not None:
-        _unread(args, "with --theta (the gamma family)", "alpha")
-        return PartitionModel.gamma(args.theta, N, beta)
-    return PartitionModel.pareto(_require(args.alpha, "--alpha"), N, beta)
-
-
-def _cmd_finite_mc(args: argparse.Namespace) -> str:
-    model = _model_from(args)
-    i = args.i if args.i is not None else 2
-    replicas = args.replicas if args.replicas is not None else 10_000
-    rng = RngStream(args.seed)
-    row = estimate_p_row(model, i, replicas, rng)
+        model = PartitionModel.pareto(_require(alpha, "--alpha"), N, beta)
+    row = estimate_p_row(model, i, replicas, RngStream(seed))
     rows = [(i, j, e.value, e.stderr, e.ess, e.replicas)
             for j, e in enumerate(row, start=1)]
     comments = []
@@ -105,12 +107,11 @@ def _cmd_finite_mc(args: argparse.Namespace) -> str:
     return _csv("i,j,estimate,stderr,ess,replicas", rows, comments)
 
 
-def _cmd_scaling_fit(args: argparse.Namespace) -> str:
-    alpha = _require(args.alpha, "--alpha")
-    beta = args.beta if args.beta is not None else 0.0
-    grid = _require(args.N_grid, "--N-grid")
-    replicas = args.replicas if args.replicas is not None else 10_000
-    fit = fit_c_N_scaling(alpha, beta, grid, replicas, RngStream(args.seed))
+def _cmd_scaling_fit(
+    *, alpha: float, beta: float = 0.0, N_grid: list[int],
+    replicas: int = 10_000, seed: int = 0,
+) -> str:
+    fit = fit_c_N_scaling(alpha, beta, N_grid, replicas, RngStream(seed))
     comments = [
         f"# fit: regime={fit.regime}, predictor={fit.predictor!r}, "
         f"slope={fit.slope:.12g}, slope_se={fit.slope_se:.12g}, "
@@ -126,38 +127,40 @@ def _cmd_scaling_fit(args: argparse.Namespace) -> str:
     return _csv("N,c_hat,stderr", rows, comments)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
-    family = _require(args.family, "--family")
+def _cmd_simulate(
+    *, family: str, alpha: float | None = None, beta: float | None = None,
+    N: int | None = None, N_grid: list[int] | None = None,
+    replicas: int | None = None, trajectory: bool = False, seed: int = 0,
+) -> str:
     if family in ("kingman", "bs"):
-        _unread(args, f"by --family {family}", "alpha")
+        _unread(f"by --family {family}", alpha=alpha)
     if family == "kingman":
-        _unread(args, "by --family kingman", "beta")
-    beta = args.beta if args.beta is not None else 0.0
-    rng = RngStream(args.seed)
-    if args.trajectory:
-        _unread(args, "with --trajectory", "N_grid", "replicas")
-        n0 = _require(args.N, "--N")
+        _unread("by --family kingman", beta=beta)
+    beta = beta if beta is not None else 0.0
+    rng = RngStream(seed)
+    if trajectory:
+        _unread("with --trajectory", N_grid=N_grid, replicas=replicas)
+        n0 = _require(N, "--N")
         if family == "xi":
             if not 1 <= n0 <= I_MAX_CAP:
                 raise ValueError(
                     f"--N must be in 1..{I_MAX_CAP} for the xi family, got {n0}"
                 )
             matrix = xi_transition_matrix(
-                Params(_require(args.alpha, "--alpha"), beta), n0
+                Params(_require(alpha, "--alpha"), beta), n0
             )
             states, _ = simulate_xi(matrix, n0, rng)
         else:
-            params = family_params(family, args.alpha, beta)
+            params = family_params(family, alpha, beta)
             states, _ = simulate_lambda(params, n0, rng)
         return _csv("time_or_step,blocks", ((s.when, s.blocks) for s in states))
     if family == "xi":
         raise ValueError("--family xi needs --trajectory")
-    if args.N_grid:
-        _unread(args, "with --N-grid", "N")
-    sizes = args.N_grid or [_require(args.N, "--N")]
-    replicas = args.replicas if args.replicas is not None else 1000
+    if N_grid:
+        _unread("with --N-grid", N=N)
     rows = functional_scaling_report(
-        family, sizes, replicas, rng, alpha=args.alpha, beta=beta
+        family, N_grid or [_require(N, "--N")],
+        replicas if replicas is not None else 1000, rng, alpha=alpha, beta=beta,
     )
     return _csv(
         "family,n0,functional,mean,stderr,reference,ratio",
@@ -165,19 +168,18 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_forward(args: argparse.Namespace) -> str:
-    config = ForwardConfig(
-        N=_require(args.N, "--N"),
-        alpha=_require(args.alpha, "--alpha"),
-        generations=args.generations if args.generations is not None else 100,
-    )
-    rng = RngStream(args.seed)
-    if args.replicas is None:
+def _cmd_forward(
+    *, alpha: float, N: int, generations: int = 100,
+    replicas: int | None = None, seed: int = 0,
+) -> str:
+    config = ForwardConfig(N=N, alpha=alpha, generations=generations)
+    rng = RngStream(seed)
+    if replicas is None:
         fields = "k", "log_global", "log_holder_mean", "log_fittest"
         rows = map(attrgetter(*fields), trajectory(config, rng))
         return _csv(",".join(fields), rows)
-    est = speed_estimate(config, args.replicas, rng)
-    sel, growth = per_step_mean_parts(config, 10 * args.replicas, rng)
+    est = speed_estimate(config, replicas, rng)
+    sel, growth = per_step_mean_parts(config, 10 * replicas, rng)
     rows = [
         ("speed", est.value, est.stderr, est.replicas),
         ("selection_part", sel, 0.0, 0),
@@ -187,18 +189,16 @@ def _cmd_forward(args: argparse.Namespace) -> str:
     return _csv("quantity,value,stderr,replicas", rows)
 
 
-def _cmd_pressure(args: argparse.Namespace) -> str:
-    alpha, N = _require(args.alpha, "--alpha"), _require(args.N, "--N")
+def _cmd_pressure(*, alpha: float, N: int) -> str:
     pressure(alpha, N, -5.0)  # checks alpha and N before the grid uses alpha
     grid = np.linspace(-5.0, 0.95 * alpha, 60).tolist()
     return _csv("beta,pressure", ((b, pressure(alpha, N, b)) for b in grid))
 
 
-def _cmd_gclt(args: argparse.Namespace) -> str:
-    alpha = _require(args.alpha, "--alpha")
-    N = _require(args.N, "--N")
-    replicas = args.replicas if args.replicas is not None else 1000
-    stats = standardized_sum_stats(alpha, N, replicas, RngStream(args.seed))
+def _cmd_gclt(
+    *, alpha: float, N: int, replicas: int = 1000, seed: int = 0
+) -> str:
+    stats = standardized_sum_stats(alpha, N, replicas, RngStream(seed))
     c = stats.constants
     rows = [
         ("a_N", c.a_N),
@@ -214,18 +214,15 @@ def _cmd_gclt(args: argparse.Namespace) -> str:
     return _csv("quantity,value", rows)
 
 
-# Each subcommand's handler and the flags it reads; its parser takes these
-# plus --out.
+# Each subcommand's handler, whose parameters are the subcommand's flags.
 _HANDLERS = {
-    "rates": (_cmd_rates, "alpha beta i_max"),
-    "finite-mc": (_cmd_finite_mc, "alpha theta N beta i replicas seed"),
-    "scaling-fit": (_cmd_scaling_fit, "alpha beta N_grid replicas seed"),
-    "simulate": (
-        _cmd_simulate, "family alpha beta N N_grid replicas trajectory seed"
-    ),
-    "forward": (_cmd_forward, "alpha N generations replicas seed"),
-    "pressure": (_cmd_pressure, "alpha N"),
-    "gclt": (_cmd_gclt, "alpha N replicas seed"),
+    "rates": _cmd_rates,
+    "finite-mc": _cmd_finite_mc,
+    "scaling-fit": _cmd_scaling_fit,
+    "simulate": _cmd_simulate,
+    "forward": _cmd_forward,
+    "pressure": _cmd_pressure,
+    "gclt": _cmd_gclt,
 }
 
 
@@ -233,7 +230,8 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-# add_argument keywords of every flag a handler may read.
+# add_argument keywords of every handler parameter. An absent flag is not
+# passed, so the handler's default applies, but --seed and --trajectory are.
 _FLAGS = {
     "family": {"choices": ["kingman", "bs", "beta", "xi"]},
     **{k: {"type": float} for k in ("alpha", "beta", "theta")},
@@ -248,19 +246,6 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"missing required option {flag}")
-    return value
-
-
-def _unread(args: argparse.Namespace, reason: str, *names: str) -> None:
-    """Reject a flag that the handler reads but would ignore here."""
-    for name in names:
-        if getattr(args, name) is not None:
-            raise ValueError(f"{_flag(name)} is not read {reason}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="paretocoal",
@@ -271,27 +256,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, reads) in _HANDLERS.items():
+    for name, handler in _HANDLERS.items():
         sp = sub.add_parser(name, allow_abbrev=False)
-        for dest in reads.split():
-            sp.add_argument(_flag(dest), **_FLAGS[dest])
+        for dest, param in inspect.signature(handler).parameters.items():
+            required = param.default is param.empty
+            sp.add_argument(_flag(dest), required=required, **_FLAGS[dest])
         sp.add_argument("--out")
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command, out = args.pop("command"), args.pop("out")
+    flags = {k: v for k, v in args.items() if v is not None}
     try:
-        body = _HANDLERS[args.command][0](args)
+        body = _HANDLERS[command](**flags)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # estimator/runtime failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _provenance(args) + "\n" + body
-    if args.out:
-        with open(args.out, "w") as fh:
+    text = _provenance(flags) + "\n" + body
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

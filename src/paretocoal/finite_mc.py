@@ -87,12 +87,15 @@ class PartitionModel:
             x = self.draw((rows, self.N), rng)
         s = x.sum(axis=1)
         if not (s.min() > 0 and s.max() < np.inf):
-            law = (f"alpha={self.alpha}" if self.family == "pareto"
-                   else f"theta={self.theta}")
-            raise ValueError(
-                f"a partition row sums to inf or 0 at {law}, N={self.N}"
-            )
+            raise self._no_partition()
         return x, s
+
+    def _no_partition(self) -> ValueError:
+        law = (f"alpha={self.alpha}" if self.family == "pareto"
+               else f"theta={self.theta}")
+        return ValueError(
+            f"a partition row sums to inf or 0 at {law}, N={self.N}"
+        )
 
 
 @dataclass(frozen=True)
@@ -224,18 +227,21 @@ def run_discrete_coalescent(
     collapses everything in one step). Trajectories are always run unbiased
     (weights enter one-step probability estimates only, not path dynamics).
     A run still above one block after _MAX_STEPS generations stops there.
+    A step whose partition sums to inf or 0 raises, as in draw_rows.
     """
     if n0 < 1:
         raise ValueError("need n0 >= 1")
     states = [BlockState(0.0, n0)]
     blocks = n0
     step = 0
-    while blocks > 1 and step < _MAX_STEPS:
-        x = model.draw(model.N, rng)
-        cum = np.cumsum(x)
-        u = rng.gen.random(blocks) * cum[-1]
-        idx = np.searchsorted(cum, u, side="left")
-        blocks = int(np.unique(idx).size)
-        step += 1
-        states.append(BlockState(float(step), blocks))
+    with np.errstate(over="ignore"):
+        while blocks > 1 and step < _MAX_STEPS:
+            cum = np.cumsum(model.draw(model.N, rng))
+            if not 0 < cum[-1] < np.inf:
+                raise model._no_partition()
+            u = rng.gen.random(blocks) * cum[-1]
+            idx = np.searchsorted(cum, u, side="left")
+            blocks = int(np.unique(idx).size)
+            step += 1
+            states.append(BlockState(float(step), blocks))
     return DiscreteTrajectory(states=tuple(states), absorbed=blocks == 1)

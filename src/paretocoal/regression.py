@@ -31,7 +31,6 @@ class ScalingFit:
     slope: float
     slope_se: float
     intercept: float
-    intercept_se: float
     prefactor: float
     r_squared: float
     noisy: bool
@@ -89,11 +88,19 @@ def fit_c_N_scaling(
             f"N grid must be strictly increasing, got {list(N_grid)}"
         )
     params = Params(alpha, beta)
-    points = []
+    points, degenerate = [], []
     for N, child in zip(N_grid, rng.spawn(len(N_grid))):
         model = PartitionModel.pareto(alpha, N, beta)
         est = estimate_c_N_conditional(model, replicas, child)
         points.append(ScalingPoint(N=N, c_hat=est.value, stderr=est.stderr))
+        if est.degenerate:
+            degenerate.append(N)
+    if degenerate:
+        # A stderr from ESS ~ 1 is noise, and its 1/se^2 weight breaks the fit.
+        raise ValueError(
+            f"degenerate weights (ESS under 1% of {replicas} replicas) at "
+            f"alpha={alpha}, beta={beta}, N={degenerate}; no scaling fit"
+        )
     Ns = np.array([p.N for p in points], dtype=float)
     c = np.array([p.c_hat for p in points])
     se_log = np.array([p.stderr / p.c_hat for p in points])
@@ -101,7 +108,6 @@ def fit_c_N_scaling(
     coef, cov, r2 = _wls(x, np.log(c), 1.0 / se_log**2)
     slope, intercept = float(coef[1]), float(coef[0])
     slope_se = float(math.sqrt(cov[1, 1]))
-    intercept_se = float(math.sqrt(cov[0, 0]))
     top = points[-1]
     logN_top = math.log(top.N)
     diagnostics = {
@@ -115,7 +121,6 @@ def fit_c_N_scaling(
         slope=slope,
         slope_se=slope_se,
         intercept=intercept,
-        intercept_se=intercept_se,
         prefactor=math.exp(intercept),
         r_squared=r2,
         noisy=2 * 1.96 * slope_se > abs(slope),

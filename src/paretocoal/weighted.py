@@ -47,7 +47,6 @@ class RatioAccumulator:
     """
 
     def __init__(self, columns: int = 1):
-        self.columns = columns
         self.n = 0
         self._shift = -math.inf
         self._sw = 0.0

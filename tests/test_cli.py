@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 import re
 import warnings
@@ -108,8 +110,9 @@ class TestFiniteMcCommand:
         assert abs(est - 2.0 / 101.0) < 3 * se
 
     def test_missing_required_flag(self, capsys):
-        rc = main(["finite-mc", "--theta", "1"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["finite-mc", "--theta", "1"])
+        assert exc.value.code == 2
         assert "--N" in capsys.readouterr().err
 
     def test_degenerate_row_warns_once(self, tmp_path):
@@ -224,27 +227,58 @@ class TestConfigFile:
         assert "missing.args" in capsys.readouterr().err
 
 
+def params(name):
+    """The parameters of a subcommand's handler: its flags."""
+    return inspect.signature(cli._HANDLERS[name]).parameters
+
+
+# A parsable value for each flag that some handler requires.
+REQUIRED_VALUES = {"alpha": "1.5", "N": "10", "N_grid": "10,20,40,80",
+                   "family": "kingman"}
+
+
+def required_args(name, omit=None):
+    """Every required flag of a subcommand but `omit`, with a value."""
+    args = []
+    for key, p in params(name).items():
+        if p.default is p.empty and key != omit:
+            args += [cli._flag(key), REQUIRED_VALUES[key]]
+    return args
+
+
 class TestFlagsRead:
     def test_help_lists_the_flags_read(self, capsys):
         total = 0
-        for name, (_, reads) in cli._HANDLERS.items():
+        for name in cli._HANDLERS:
             with pytest.raises(SystemExit) as exc:
                 main([name, "--help"])
             assert exc.value.code == 0
             listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
-            expected = {cli._flag(k) for k in reads.split()}
+            expected = {cli._flag(k) for k in params(name)}
             assert listed == expected | {"--help", "--out"}
             total += len(listed) - 1
         assert total == 41
 
     def test_unread_flag_exits_two(self, capsys):
-        for name, (_, reads) in cli._HANDLERS.items():
-            for key in set(cli._FLAGS) - set(reads.split()):
+        for name in cli._HANDLERS:
+            for key in set(cli._FLAGS) - set(params(name)):
                 value = [] if key == "trajectory" else ["1"]
                 with pytest.raises(SystemExit) as exc:
-                    main([name, cli._flag(key), *value])
+                    main([name, *required_args(name), cli._flag(key), *value])
                 assert exc.value.code == 2, (name, key)
                 assert cli._flag(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [(name, key) for name in cli._HANDLERS
+         for key, p in params(name).items() if p.default is p.empty],
+    )
+    def test_missing_required_flag_exits_two(self, name, key, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, *required_args(name, omit=key)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"the following arguments are required: {cli._flag(key)}" in err
 
     @pytest.mark.parametrize(
         "args, flag",
@@ -273,12 +307,11 @@ class TestFlagsRead:
         assert flag in capsys.readouterr().err
 
     def test_internal_type_error_exits_one(self, monkeypatch, capsys):
-        def broken(args):
+        @functools.wraps(cli._HANDLERS["gclt"])  # the same parameters
+        def broken(**flags):
             raise TypeError("internal fault")
 
-        monkeypatch.setitem(
-            cli._HANDLERS, "gclt", (broken, cli._HANDLERS["gclt"][1])
-        )
+        monkeypatch.setitem(cli._HANDLERS, "gclt", broken)
         assert main(["gclt", "--alpha", "1", "--N", "10"]) == 1
         assert "internal fault" in capsys.readouterr().err
 
@@ -476,6 +509,21 @@ class TestScalingFitCommand:
         ):
             assert main(["scaling-fit", *args]) == 2, args
             assert "N grid" in capsys.readouterr().err, args
+
+    def test_degenerate_weights_exit_two_naming_N(self, tmp_path, capsys):
+        # At beta = 200 every point's ESS is about 1; its stderr is noise.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc, text = run_cli(
+                ["scaling-fit", "--alpha", "2.5", "--beta", "200",
+                 "--N-grid", "10,20,40,80", "--replicas", "2000",
+                 "--seed", "1"],
+                tmp_path,
+            )
+        assert rc == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "alpha=2.5, beta=200.0, N=[10, 20, 40, 80]" in err
+        assert "Singular matrix" not in err
 
 
 class TestNanInputs:

@@ -344,6 +344,23 @@ class TestDiscreteCoalescent:
         traj = run_discrete_coalescent(model, 50, RngStream(46))
         assert not traj.absorbed and traj.steps == 2
 
+    def test_pareto_overflow_raises(self):
+        # A Pareto(0.01) draw U^(-100) overflows when U < 8.3e-4, so about
+        # one step in 12 at N = 100.
+        model = PartitionModel.pareto(0.01, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha=0.01, N=100"):
+                for seed in range(200):
+                    run_discrete_coalescent(model, 8, RngStream(seed))
+
+    def test_all_zero_row_raises(self):
+        # Nearly every gamma(1e-6) draw is exactly 0.0.
+        model = PartitionModel.gamma(1e-6, 10)
+        assert not model.draw(10, RngStream(0)).any()
+        with pytest.raises(ValueError, match="theta=1e-06, N=10"):
+            run_discrete_coalescent(model, 4, RngStream(0))
+
     @pytest.mark.slow
     def test_absorption_time_tracks_pairwise_rate(self):
         # Mean absorption, started from 10 of 1000: about 2(1 - 1/10) in
