@@ -156,7 +156,7 @@ def _cmd_simulate(
         return _csv("time_or_step,blocks", ((s.when, s.blocks) for s in states))
     if family == "xi":
         raise ValueError("--family xi needs --trajectory")
-    if N_grid:
+    if N_grid is not None:
         _unread("with --N-grid", N=N)
     rows = functional_scaling_report(
         family, N_grid or [_require(N, "--N")],
@@ -227,7 +227,9 @@ _HANDLERS = {
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    if not (values := [int(tok) for tok in text.split(",") if tok]):
+        raise argparse.ArgumentTypeError("empty list")
+    return values
 
 
 # add_argument keywords of every handler parameter. An absent flag is not

@@ -22,6 +22,7 @@ _MAX_STEPS = 100_000
 # sum before squaring, so its squared segments neither overflow nor lose
 # digits to underflow; every other row squares its raw draws.
 _SAFE_SUM = 2.0**500
+_STRATA = 50  # rows per stratified group of a Pareto block
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,11 @@ class PartitionModel:
     the total sum. For the pareto family with alpha < 2 the weight moment
     only exists for beta < alpha; for alpha >= 2 any beta is accepted but
     large beta still degrades the estimator, which we flag heuristically.
+
+    A 2-D Pareto draw (every estimator's block) stratifies each row's
+    smallest uniform M: row k of a group of K = _STRATA rows (fewer at a
+    block's end) takes q ~ U(k/K, (k+1)/K], M = 1 - (1 - q)^(1/N) at a random
+    column and the rest U(M, 1], so rows keep the plain law; `group` is K.
     """
 
     family: str
@@ -74,16 +80,35 @@ class PartitionModel:
     def gamma(cls, theta: float, N: int, beta: float = 0.0) -> "PartitionModel":
         return cls(family="gamma", N=N, theta=theta, beta=beta)
 
+    @property
+    def group(self) -> int:
+        return _STRATA if self.family == "pareto" else 1
+
     def draw(self, shape, rng: RngStream) -> np.ndarray:
-        if self.family == "pareto":
+        if self.family == "gamma":
+            return rng.gen.gamma(self.theta, size=shape)
+        if np.ndim(shape) == 0:
             return pareto_sample(self.alpha, rng, shape)
-        return rng.gen.gamma(self.theta, size=shape)
+        rows, n = shape
+        u = rng.gen.random(shape)  # V', then 1 - V'(1 - M) in place
+        m = rng.uniform_open(rows)  # V, q, M in place (temporaries add RSS)
+        m += np.arange(rows) % _STRATA
+        full = rows - rows % _STRATA
+        m[:full] /= _STRATA
+        m[full:] /= rows - full
+        np.log1p(np.negative(m, out=m), out=m)  # q = 1 (V = 1) gives M = 1
+        np.negative(np.expm1(np.divide(m, n, out=m), out=m), out=m)
+        u *= (m - 1.0)[:, None]
+        u += 1.0
+        u[np.arange(rows), rng.gen.integers(n, size=rows)] = m
+        u **= -1.0 / self.alpha
+        return u
 
     def draw_rows(self, rows: int, rng: RngStream):
         """A (rows, N) block and its row sums. A Pareto draw can overflow
         once alpha < 53/1024 and a gamma draw is 0 at small theta; a sum
         that is inf or 0 normalizes to no partition, so it raises."""
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             x = self.draw((rows, self.N), rng)
         s = x.sum(axis=1)
         if not (s.min() > 0 and s.max() < np.inf):
@@ -173,7 +198,7 @@ def estimate_p_rows_nested(
         for i in i_values:
             j = _distinct_counts(hits[:, :i])
             v = (j[:, None] == np.arange(1, i + 1)[None, :]).astype(float)
-            accs[i].add(log_w, v)
+            accs[i].add(log_w, v, model.group)
     rows = {i: accs[i].estimates() for i in i_values}
     # Every accumulator is fed the same log-weights, so all share one ESS.
     warn_if_degenerate(rows[i_top][0], f"P rows for i in {i_values}")
@@ -211,7 +236,7 @@ def estimate_c_N_conditional(
 
     acc = RatioAccumulator(columns=1)
     for log_w, v in replica_blocks(replicas, model.N, rng, block):
-        acc.add(log_w, v)
+        acc.add(log_w, v, model.group)
     est = acc.estimate()
     warn_if_degenerate(est, "estimate_c_N_conditional")
     return est

@@ -44,18 +44,23 @@ class RatioAccumulator:
     w^2 (v - R)^2, which merge by moving both to the pooled ratio (Chan,
     Golub and LeVeque 1979), so the variance never comes from cancelling
     raw moments.
+
+    add(..., group=K) takes each run of K rows (the last may be shorter) as
+    one super-replica of weight sum(w), value sum(w v)/sum(w) for the stderr
+    (0 from one group); `replicas` and ESS count rows. K = 1 is plain.
     """
 
     def __init__(self, columns: int = 1):
         self.n = 0
         self._shift = -math.inf
         self._sw = 0.0
-        self._sw2 = 0.0
+        self._sw2 = 0.0  # sum of squared group weights
+        self._ess_sw2 = 0.0  # sum w^2 over rows
         self._ratio = np.zeros(columns)
         self._c1 = np.zeros(columns)  # sum w^2 (v - ratio)
         self._c2 = np.zeros(columns)  # sum w^2 (v - ratio)^2
 
-    def add(self, log_w: np.ndarray, v: np.ndarray) -> None:
+    def add(self, log_w: np.ndarray, v: np.ndarray, group: int = 1) -> None:
         log_w = np.asarray(log_w, dtype=float)
         v = np.asarray(v, dtype=float)
         if v.ndim == 1:
@@ -68,10 +73,18 @@ class RatioAccumulator:
             f = math.exp(self._shift - top)
             self._sw *= f
             self._sw2 *= f * f
+            self._ess_sw2 *= f * f
             self._c1 *= f * f
             self._c2 *= f * f
             self._shift = top
         w = np.exp(log_w - self._shift)
+        self._ess_sw2 += float((w * w).sum())
+        if group > 1:
+            starts = np.arange(0, w.size, group)
+            wv = np.add.reduceat(w[:, None] * v, starts)
+            w = np.add.reduceat(w, starts)
+            keep = w > 0  # a group whose weights all underflow adds nothing
+            w, v = w[keep], wv[keep] / w[keep, None]
         w2 = w * w
         sw, sw2 = float(w.sum()), float(w2.sum())
         if sw == 0.0:  # every weight underflows next to the maximum
@@ -92,7 +105,7 @@ class RatioAccumulator:
         if self.n == 0:
             raise ValueError("no replicas accumulated")
         stderr = np.sqrt(np.maximum(self._c2, 0.0)) / self._sw
-        ess = self._sw * self._sw / self._sw2 if self._sw2 > 0 else 0.0
+        ess = self._sw * self._sw / self._ess_sw2 if self._ess_sw2 > 0 else 0.0
         return [
             WeightedEstimate(float(r), float(s), self.n, float(ess))
             for r, s in zip(self._ratio, stderr)

@@ -306,6 +306,21 @@ class TestFlagsRead:
         assert rc == 2 and text == ""
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--family", "kingman", "--N-grid", "", "--N", "10",
+             "--replicas", "10"],
+            ["scaling-fit", "--alpha", "1.5", "--N-grid", ",", "--replicas",
+             "100"],
+        ],
+    )
+    def test_empty_N_grid_exits_two(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--N-grid: empty list" in capsys.readouterr().err
+
     def test_internal_type_error_exits_one(self, monkeypatch, capsys):
         @functools.wraps(cli._HANDLERS["gclt"])  # the same parameters
         def broken(**flags):
