@@ -22,7 +22,6 @@ _MAX_STEPS = 100_000
 # sum before squaring, so its squared segments neither overflow nor lose
 # digits to underflow; every other row squares its raw draws.
 _SAFE_SUM = 2.0**500
-_STRATA = 50  # rows per stratified group of a Pareto block
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,10 @@ class PartitionModel:
     only exists for beta < alpha; for alpha >= 2 any beta is accepted but
     large beta still degrades the estimator, which we flag heuristically.
 
-    A 2-D Pareto draw (every estimator's block) stratifies each row's
-    smallest uniform M: row k of a group of K = _STRATA rows (fewer at a
-    block's end) takes q ~ U(k/K, (k+1)/K], M = 1 - (1 - q)^(1/N) at a random
-    column and the rest U(M, 1], so rows keep the plain law; `group` is K.
+    A 2-D Pareto draw stratifies the smallest uniform M over a run of
+    `total` rows: run row j (blocks start at `first`) takes M = 1 - (1 -
+    q)^(1/N), q ~ U(j/total, (j+1)/total], at a random column, the rest
+    U(M, 1]. Rows are one a stratum of the plain law, in stratum order.
     """
 
     family: str
@@ -80,11 +79,7 @@ class PartitionModel:
     def gamma(cls, theta: float, N: int, beta: float = 0.0) -> "PartitionModel":
         return cls(family="gamma", N=N, theta=theta, beta=beta)
 
-    @property
-    def group(self) -> int:
-        return _STRATA if self.family == "pareto" else 1
-
-    def draw(self, shape, rng: RngStream) -> np.ndarray:
+    def draw(self, shape, rng: RngStream, first: int = 0, total=None) -> np.ndarray:
         if self.family == "gamma":
             return rng.gen.gamma(self.theta, size=shape)
         if np.ndim(shape) == 0:
@@ -92,10 +87,8 @@ class PartitionModel:
         rows, n = shape
         u = rng.gen.random(shape)  # V', then 1 - V'(1 - M) in place
         m = rng.uniform_open(rows)  # V, q, M in place (temporaries add RSS)
-        m += np.arange(rows) % _STRATA
-        full = rows - rows % _STRATA
-        m[:full] /= _STRATA
-        m[full:] /= rows - full
+        m += np.arange(first, first + rows)
+        m /= total or rows
         np.log1p(np.negative(m, out=m), out=m)  # q = 1 (V = 1) gives M = 1
         np.negative(np.expm1(np.divide(m, n, out=m), out=m), out=m)
         u *= (m - 1.0)[:, None]
@@ -104,12 +97,12 @@ class PartitionModel:
         u **= -1.0 / self.alpha
         return u
 
-    def draw_rows(self, rows: int, rng: RngStream):
+    def draw_rows(self, rows: int, rng: RngStream, first: int, total: int):
         """A (rows, N) block and its row sums. A Pareto draw can overflow
         once alpha < 53/1024 and a gamma draw is 0 at small theta; a sum
         that is inf or 0 normalizes to no partition, so it raises."""
         with np.errstate(over="ignore", divide="ignore"):
-            x = self.draw((rows, self.N), rng)
+            x = self.draw((rows, self.N), rng, first, total)
         s = x.sum(axis=1)
         if not (s.min() > 0 and s.max() < np.inf):
             raise self._no_partition()
@@ -188,8 +181,8 @@ def estimate_p_rows_nested(
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
     i_top = i_values[-1]
-    def block(rows, child):
-        x, s = model.draw_rows(rows, child)
+    def block(rows, child, first):
+        x, s = model.draw_rows(rows, child, first, replicas)
         log_w = model.beta * np.log(s)
         return log_w, _segment_hits(x, child.gen.random((rows, i_top)))
 
@@ -198,7 +191,7 @@ def estimate_p_rows_nested(
         for i in i_values:
             j = _distinct_counts(hits[:, :i])
             v = (j[:, None] == np.arange(1, i + 1)[None, :]).astype(float)
-            accs[i].add(log_w, v, model.group)
+            accs[i].add(log_w, v, model.family == "pareto")
     rows = {i: accs[i].estimates() for i in i_values}
     # Every accumulator is fed the same log-weights, so all share one ESS.
     warn_if_degenerate(rows[i_top][0], f"P rows for i in {i_values}")
@@ -224,8 +217,8 @@ def estimate_c_N_conditional(
     """
     if replicas < 2:
         raise ValueError("replicas >= 2 required")
-    def block(rows, child):
-        x, s = model.draw_rows(rows, child)
+    def block(rows, child, first):
+        x, s = model.draw_rows(rows, child, first, replicas)
         with np.errstate(over="ignore", invalid="ignore"):
             v = np.einsum("ij,ij->i", x, x) / (s * s)
         if s.min() < 1.0 / _SAFE_SUM or s.max() > _SAFE_SUM:
@@ -236,7 +229,7 @@ def estimate_c_N_conditional(
 
     acc = RatioAccumulator(columns=1)
     for log_w, v in replica_blocks(replicas, model.N, rng, block):
-        acc.add(log_w, v, model.group)
+        acc.add(log_w, v, model.family == "pareto")
     est = acc.estimate()
     warn_if_degenerate(est, "estimate_c_N_conditional")
     return est

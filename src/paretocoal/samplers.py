@@ -98,7 +98,7 @@ def ordered_map(fn, *args):
 
 def pareto_row_sums(alpha: float, N: int, replicas: int, rng: RngStream):
     """Row sums of replicas x N Pareto(alpha) draws; inf where one overflows."""
-    def block(rows, child):
+    def block(rows, child, _first):
         with np.errstate(over="ignore"):
             return pareto_sample(alpha, child, (rows, N)).sum(axis=1)
 
@@ -106,12 +106,12 @@ def pareto_row_sums(alpha: float, N: int, replicas: int, rng: RngStream):
 
 
 def replica_blocks(replicas: int, N: int, rng: RngStream, fn):
-    """fn(rows, child) per block of about 2^20 doubles, in block order.
-    Block k draws from the k-th child rng.spawn gives, whatever thread
-    runs it."""
+    """fn(rows, child, first) per block of about 2^20 doubles, in block
+    order; first is the block's first replica. Block k draws from the k-th
+    child rng.spawn gives, whatever thread runs it."""
     chunk = max(1, _BLOCK_ELEMENTS // max(N, 1))
     rows = [min(chunk, replicas - s) for s in range(0, replicas, chunk)]
-    return ordered_map(fn, rows, rng.spawn(len(rows)))
+    return ordered_map(fn, rows, rng.spawn(len(rows)), range(0, replicas, chunk))
 
 
 def pareto_sample(alpha: float, rng: RngStream, size) -> np.ndarray:

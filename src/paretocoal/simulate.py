@@ -186,7 +186,7 @@ def kingman_functionals(
     ivals = np.arange(n0, 1, -1, dtype=float)
     lam = ivals * (ivals - 1.0) / 2.0
 
-    def block(size, child):
+    def block(size, child, _first):
         gen = child.gen
         T = gen.standard_exponential((size, n0 - 1))
         T /= lam  # in place: one block of holding times, not two

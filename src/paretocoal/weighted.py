@@ -45,22 +45,25 @@ class RatioAccumulator:
     Golub and LeVeque 1979), so the variance never comes from cancelling
     raw moments.
 
-    add(..., group=K) takes each run of K rows (the last may be shorter) as
-    one super-replica of weight sum(w), value sum(w v)/sum(w) for the stderr
-    (0 from one group); `replicas` and ESS count rows. K = 1 is plain.
+    add(..., ordered=True) takes the rows as one stratified sample, a row a
+    stratum in order, across adds; its stderr comes from successive steps,
+    Var(sum z) ~ n/(n-1) sum (z_k - z_(k+1))^2 / 2, z = w (v - R) (Wolter,
+    Introduction to Variance Estimation, ch. 8). The spread between strata
+    stays out; the mean step between neighbours makes it err high.
     """
 
     def __init__(self, columns: int = 1):
         self.n = 0
         self._shift = -math.inf
         self._sw = 0.0
-        self._sw2 = 0.0  # sum of squared group weights
-        self._ess_sw2 = 0.0  # sum w^2 over rows
+        self._sw2 = 0.0
+        self._sb2 = 0.0  # sum b^2 over stderr terms (a, b), t = a - ratio b
         self._ratio = np.zeros(columns)
-        self._c1 = np.zeros(columns)  # sum w^2 (v - ratio)
-        self._c2 = np.zeros(columns)  # sum w^2 (v - ratio)^2
+        self._c1 = np.zeros(columns)  # sum b t
+        self._c2 = np.zeros(columns)  # sum t^2
+        self._last = None  # log-weight and v of the last ordered row
 
-    def add(self, log_w: np.ndarray, v: np.ndarray, group: int = 1) -> None:
+    def add(self, log_w: np.ndarray, v: np.ndarray, ordered: bool = False) -> None:
         log_w = np.asarray(log_w, dtype=float)
         v = np.asarray(v, dtype=float)
         if v.ndim == 1:
@@ -73,39 +76,49 @@ class RatioAccumulator:
             f = math.exp(self._shift - top)
             self._sw *= f
             self._sw2 *= f * f
-            self._ess_sw2 *= f * f
+            self._sb2 *= f * f
             self._c1 *= f * f
             self._c2 *= f * f
             self._shift = top
         w = np.exp(log_w - self._shift)
-        self._ess_sw2 += float((w * w).sum())
-        if group > 1:
-            starts = np.arange(0, w.size, group)
-            wv = np.add.reduceat(w[:, None] * v, starts)
-            w = np.add.reduceat(w, starts)
-            keep = w > 0  # a group whose weights all underflow adds nothing
-            w, v = w[keep], wv[keep] / w[keep, None]
         w2 = w * w
         sw, sw2 = float(w.sum()), float(w2.sum())
-        if sw == 0.0:  # every weight underflows next to the maximum
+        if ordered:
+            # (a, b) are the steps of (w v, w); rows that underflow step too
+            ratio = (w @ v) / sw if sw > 0.0 else self._ratio
+            wv = w[:, None] * v
+            if self._last is not None:
+                w0 = math.exp(self._last[0] - self._shift)
+                w, wv = np.r_[w0, w], np.vstack([w0 * self._last[1], wv])
+            self._last = (log_w[-1], v[-1])
+            b = np.diff(w)
+            t = np.diff(wv, axis=0) - ratio * b[:, None]
+            sb2, c1, c2 = float(b @ b), b @ t, (t * t).sum(axis=0)
+        elif sw == 0.0:  # every weight underflows next to the maximum
             return
-        ratio = (w @ v) / sw
-        d = v - ratio
-        c1, c2 = w2 @ d, w2 @ (d * d)
+        else:
+            ratio = (w @ v) / sw  # (a, b) = (w v, w)
+            d = v - ratio
+            sb2, c1, c2 = sw2, w2 @ d, w2 @ (d * d)
         total = self._sw + sw
         pooled = self._ratio + (ratio - self._ratio) * (sw / total)
         da, db = self._ratio - pooled, ratio - pooled
-        self._c2 += 2.0 * da * self._c1 + da * da * self._sw2
-        self._c2 += c2 + 2.0 * db * c1 + db * db * sw2
-        self._c1 += da * self._sw2 + c1 + db * sw2
+        self._c2 += 2.0 * da * self._c1 + da * da * self._sb2
+        self._c2 += c2 + 2.0 * db * c1 + db * db * sb2
+        self._c1 += da * self._sb2 + c1 + db * sb2
         self._ratio = pooled
-        self._sw, self._sw2 = total, self._sw2 + sw2
+        self._sw, self._sw2, self._sb2 = total, self._sw2 + sw2, self._sb2 + sb2
 
     def estimates(self) -> list[WeightedEstimate]:
         if self.n == 0:
             raise ValueError("no replicas accumulated")
-        stderr = np.sqrt(np.maximum(self._c2, 0.0)) / self._sw
-        ess = self._sw * self._sw / self._ess_sw2 if self._ess_sw2 > 0 else 0.0
+        c2 = self._c2
+        if self._last is not None:
+            if self.n < 2:
+                raise ValueError("a stratified stderr needs 2 replicas or more")
+            c2 = c2 * (self.n / (2 * (self.n - 1)))
+        stderr = np.sqrt(np.maximum(c2, 0.0)) / self._sw
+        ess = self._sw * self._sw / self._sw2 if self._sw2 > 0 else 0.0
         return [
             WeightedEstimate(float(r), float(s), self.n, float(ess))
             for r, s in zip(self._ratio, stderr)

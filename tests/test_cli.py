@@ -514,6 +514,20 @@ class TestScalingFitCommand:
         assert header == ["N", "c_hat", "stderr"]
         assert len(rows) == 4
 
+    def test_fifty_replicas_give_a_finite_fit(self, tmp_path):
+        # Each point's stderr comes from steps between its 50 strata, so
+        # no point gets a zero stderr and an infinite fit weight.
+        rc, text = run_cli(
+            ["scaling-fit", "--alpha", "1.5", "--N-grid", "10,20,40,80",
+             "--replicas", "50", "--seed", "3"],
+            tmp_path,
+        )
+        assert rc == 0
+        fit_line = next(l for l in text.splitlines() if l.startswith("# fit:"))
+        assert "nan" not in fit_line and "inf" not in fit_line
+        _, rows = data_rows(text)
+        assert all(float(se) > 0 for _, _, se in rows)
+
     def test_grid_validation(self, capsys):
         for args in (
             ["--alpha", "3", "--N-grid", "100,200"],

@@ -31,7 +31,8 @@ def combined_se(*ests) -> float:
 def moment_form(model, i, j, replicas, rng):
     """The moment-form oracle on segments drawn in the estimators' blocks."""
     draws = replica_blocks(
-        replicas, model.N, rng, lambda rows, child: model.draw((rows, model.N), child)
+        replicas, model.N, rng,
+        lambda rows, child, first: model.draw((rows, model.N), child, first, replicas),
     )
     return estimate_moment_form(draws, i, j, beta=model.beta)
 
@@ -116,17 +117,28 @@ class TestParetoOracle:
 
 
 class TestStratifiedDraw:
-    """A 2-D Pareto draw stratifies each row's smallest uniform in groups of
-    _STRATA rows (shorter at a block's end) and keeps every row's law."""
+    """A 2-D Pareto draw stratifies each row's smallest uniform over the
+    replicas of a run, one stratum a row, and keeps the plain law over a
+    run (a block drawn on its own is a run of its own)."""
 
     ALPHA, N = 1.5, 20
+    RUN = (1000, 1000, 1000, 37)  # the blocks of one run of 3037 rows
+
+    def run(self, rng):
+        model = PartitionModel.pareto(self.ALPHA, self.N)
+        total, first = sum(self.RUN), 0
+        for rows in self.RUN:
+            yield model.draw((rows, self.N), rng, first, total)
+            first += rows
 
     def blocks(self):
-        # 41 blocks of 20 full groups and one of 37 rows, 40 of 7 rows
-        model = PartitionModel.pareto(self.ALPHA, self.N)
+        # 13 runs of 3037 rows and 40 blocks of 7 rows on their own
         rng = RngStream(120)
-        for rows in [1037] * 41 + [7] * 40:
-            yield model.draw((rows, self.N), rng)
+        model = PartitionModel.pareto(self.ALPHA, self.N)
+        for _ in range(13):
+            yield from self.run(rng)
+        for _ in range(40):
+            yield model.draw((7, self.N), rng)
 
     @staticmethod
     def binned_stat(p, bins=20):
@@ -136,14 +148,21 @@ class TestStratifiedDraw:
         expected = p.size / bins
         return float(((counts - expected) ** 2 / expected).sum())
 
-    def test_row_minimum_is_beta_1_N(self):
-        x = np.concatenate(list(self.blocks()))
+    def beta_cdf_of_minimum(self, x):
         m = x.max(axis=1) ** -self.ALPHA  # the row's smallest uniform
+        # 1 - (1 - m)^N is the Beta(1, N) CDF: the stratified q
+        return m, -np.expm1(self.N * np.log1p(-m))
+
+    def test_row_minimum_is_beta_1_N(self):
+        m, q = self.beta_cdf_of_minimum(np.concatenate(list(self.blocks())))
         se = m.std(ddof=1) / math.sqrt(m.size)
         assert abs(m.mean() - 1.0 / (self.N + 1)) < 3 * se
-        # 1 - (1 - m)^N is the Beta(1, N) CDF: uniform under the right law
-        p = -np.expm1(self.N * np.log1p(-m))
-        assert self.binned_stat(p) < chi2.ppf(0.999, 19)
+        assert self.binned_stat(q) < chi2.ppf(0.999, 19)
+
+    def test_one_row_a_stratum_in_order(self):
+        _, q = self.beta_cdf_of_minimum(np.concatenate(list(self.run(RngStream(121)))))
+        k = np.arange(q.size)
+        assert np.all(q * q.size > k - 1e-9) and np.all(q * q.size < k + 1 + 1e-9)
 
     def test_every_column_keeps_the_pareto_law(self):
         # The largest segment sits at a uniform column, so column order
@@ -161,35 +180,42 @@ class TestStratifiedDraw:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
-        "alpha, N, replicas, seed, tol",
-        [(0.5, 1000, 20_000, 122, 3), (1.5, 1000, 20_000, 123, 3),
-         # At alpha = 3 the score's right tail (the largest segment squared)
-         # skews z to the left: over 400 seeds of this size |z| > 3 came out
-         # in 3.0% of runs (1.8% unstratified), |z| > 4 in 0.75%.
-         (3.0, 1000, 20_000, 124, 4),
-         # N > 2^20/50: every block is one short group of 34 rows
-         (1.5, 30_000, 3000, 125, 3)],
+        "alpha, N, replicas, seed",
+        [(0.5, 1000, 20_000, 122), (1.5, 1000, 20_000, 123),
+         (3.0, 1000, 20_000, 124),
+         # N > 2^20/3: blocks of 2 rows, so most steps cross blocks
+         (1.5, 400_000, 300, 125)],
     )
-    def test_conditional_c_N_against_exact(self, alpha, N, replicas, seed, tol):
+    def test_conditional_c_N_against_exact(self, alpha, N, replicas, seed):
         est = estimate_c_N_conditional(
             PartitionModel.pareto(alpha, N), replicas, RngStream(seed)
         )
         assert est.replicas == replicas and est.ess == pytest.approx(replicas)
         exact = pareto_c_N_exact(alpha, 0.0, N)
-        assert abs(est.value - exact) < tol * est.stderr
+        assert abs(est.value - exact) < 3 * est.stderr
 
-    def test_stderr_is_calibrated(self):
-        # 5000 replicas at N = 1000: blocks of 20 full groups and a short one
-        model = PartitionModel.pareto(0.5, 1000)
-        exact = pareto_c_N_exact(0.5, 0.0, 1000)
+    @pytest.mark.parametrize(
+        "alpha, N, replicas, low",
+        [(0.5, 1000, 5000, 0.7),
+         # The partition-mc c_N_fit shape at its largest N. Strata means
+         # step fast where the largest segment takes most of the row, and
+         # the successive-difference stderr counts those steps: it errs
+         # high here (sd of z about 0.7 over 200 seeds).
+         (1.5, 10_000, 5000, 0.5),
+         (3.0, 1000, 20_000, 0.7)],
+    )
+    def test_stderr_is_calibrated(self, alpha, N, replicas, low):
+        model = PartitionModel.pareto(alpha, N)
+        exact = pareto_c_N_exact(alpha, 0.0, N)
         z = []
         for seed in range(40):
-            est = estimate_c_N_conditional(model, 5000, RngStream(126, seed))
+            est = estimate_c_N_conditional(model, replicas, RngStream(126, seed))
             z.append((est.value - exact) / est.stderr)
-        assert 0.7 <= np.std(z, ddof=1) <= 1.4
+        assert low <= np.std(z, ddof=1) <= 1.4
+        assert np.abs(z).max() < 5  # the bench's oracle tolerance
 
-    def test_two_replicas_give_finite_figures(self):
-        # One group of two rows: one super-replica, so a stderr of 0
+    def test_two_replicas_give_a_stderr(self):
+        # One step between the two strata
         model = PartitionModel.pareto(1.5, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -198,6 +224,7 @@ class TestStratifiedDraw:
         for est in ests:
             assert est.replicas == 2
             assert all(math.isfinite(t) for t in (est.value, est.stderr, est.ess))
+        assert ests[0].stderr > 0
 
 
 class TestEstimators:
@@ -220,7 +247,7 @@ class TestEstimators:
     def draw_rows_of(row, monkeypatch):
         monkeypatch.setattr(
             PartitionModel, "draw",
-            lambda self, shape, rng: np.tile(row, (shape[0], 1)),
+            lambda self, shape, rng, *strata: np.tile(row, (shape[0], 1)),
         )
 
     @pytest.mark.parametrize(

@@ -105,12 +105,12 @@ class TestRatioAccumulator:
         # ess = (sum w)^2 / sum w^2 = 36/10
         assert acc.estimate().ess == pytest.approx(3.6)
 
-    def test_group_one_is_the_plain_arithmetic(self):
+    def test_plain_add_is_the_old_arithmetic(self):
         rng = np.random.default_rng(6)
         v = rng.random((1000, 2))
         logw = rng.normal(size=1000)
         acc = RatioAccumulator(columns=2)
-        acc.add(logw, v, 1)
+        acc.add(logw, v)
         w = np.exp(logw - logw.max())
         sw, sw2 = float(w.sum()), float((w * w).sum())
         ratio = (w @ v) / sw
@@ -120,55 +120,73 @@ class TestRatioAccumulator:
             assert est.stderr == stderr[k]
             assert est.ess == sw * sw / sw2
 
-    def test_two_groups_by_hand(self):
-        # w = 1, 2, 3, 4 and v = 1, 0, 0, 1. Groups of 2: W = 3, 7 and
-        # W v = 1, 4, so R = 5/10 and the residuals W v - R W are -1/2, 1/2.
+    def test_ordered_rows_by_hand(self):
+        # w = 1, 2, 3, 4 and v = 1, 0, 0, 1: R = 5/10, z = w (v - R) =
+        # 1/2, -1, -3/2, 2, successive steps -3/2, -1/2, 7/2, so
+        # Var(sum z) = 4/3 * (9/4 + 1/4 + 49/4) / 2 = 59/6.
         logw, v = np.log([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 0.0, 0.0, 1.0])
         acc = RatioAccumulator()
-        acc.add(logw, v, 2)
+        acc.add(logw, v, ordered=True)
         est = acc.estimate()
         assert est.value == pytest.approx(0.5, rel=1e-15)
-        assert est.stderr == pytest.approx(math.sqrt(0.5) / 10, rel=1e-14)
+        assert est.stderr == pytest.approx(math.sqrt(59 / 6) / 10, rel=1e-14)
         # replicas and ESS count rows: ess = 10^2 / (1 + 4 + 9 + 16)
         assert est.replicas == 4 and est.ess == pytest.approx(100 / 30)
-        # groups of 3, the last one short: W = 6, 4, residuals -2, 2
+
+    def test_ordered_steps_leave_the_trend_out(self):
+        # Rows on a straight line with no noise: the spread between strata
+        # is not sampling error, so only the steps (here 1/999) remain.
+        v = np.linspace(0.0, 1.0, 1000)
         acc = RatioAccumulator()
-        acc.add(logw, v, 3)
-        assert acc.estimate().stderr == pytest.approx(math.sqrt(8) / 10, rel=1e-14)
+        acc.add(np.zeros(1000), v, ordered=True)
+        est = acc.estimate()
+        assert est.stderr == pytest.approx(math.sqrt(1000 / 999 * 999 / 2) / 999 / 1000)
+        plain = RatioAccumulator()
+        plain.add(np.zeros(1000), v)
+        assert est.stderr < plain.estimate().stderr / 400
 
-    def test_chunking_is_equivalent_with_groups(self):
+    def test_ordered_chunking_is_equivalent(self):
+        # Chunks of 1, 2, 37, ... rows; later chunks raise the maximum
+        # log-weight, so the carried last row is rescaled too.
         rng = np.random.default_rng(7)
-        v = rng.random(3037)
-        logw = rng.normal(size=3037)
-        one = RatioAccumulator()
-        one.add(logw, v, 50)
-        many = RatioAccumulator()
-        for lo in range(0, 3037, 500):  # chunk ends fall on group ends
-            many.add(logw[lo : lo + 500], v[lo : lo + 500], 50)
-        a, b = many.estimate(), one.estimate()
-        assert a.value == pytest.approx(b.value, rel=1e-12)
-        assert a.stderr == pytest.approx(b.stderr, rel=1e-12)
-        assert a.ess == pytest.approx(b.ess, rel=1e-12)
-        assert a.replicas == b.replicas == 3037
+        v = rng.random((3037, 2))
+        logw = rng.normal(size=3037) + np.linspace(0.0, 4.0, 3037)
+        one = RatioAccumulator(columns=2)
+        one.add(logw, v, ordered=True)
+        many = RatioAccumulator(columns=2)
+        cuts = [0, 1, 3, 40, 500, 501, 2000, 3037]
+        for lo, hi in zip(cuts, cuts[1:]):
+            many.add(logw[lo:hi], v[lo:hi], ordered=True)
+        for a, b in zip(many.estimates(), one.estimates()):
+            assert a.value == pytest.approx(b.value, rel=1e-12)
+            assert a.stderr == pytest.approx(b.stderr, rel=1e-12)
+            assert a.ess == pytest.approx(b.ess, rel=1e-12)
+            assert a.replicas == b.replicas == 3037
 
-    def test_grouped_one_replica_batches_stay_finite(self):
-        # Each one-row batch is a group of its own, and a group whose
-        # weights underflow next to the maximum adds nothing.
+    def test_ordered_one_replica_batches_stay_finite(self):
+        # Rows whose weights underflow next to the maximum still take part
+        # in the steps; one-row batches match one batch of all the rows.
         logw = np.array([0.0, -800.0, -800.0, 5.0, 1.0])
         v = np.array([0.2, 0.9, 0.4, 0.6, 0.1])
         acc = RatioAccumulator()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in range(v.size):
-                acc.add(logw[k : k + 1], v[k : k + 1], 50)
-            acc.add(logw[1:3], v[1:3], 2)
+                acc.add(logw[k : k + 1], v[k : k + 1], ordered=True)
         est = acc.estimate()
-        assert est.replicas == 7
         assert all(math.isfinite(t) for t in (est.value, est.stderr, est.ess))
-        plain = RatioAccumulator()
-        plain.add(logw, v)
-        assert est.value == pytest.approx(plain.estimate().value, rel=1e-12)
-        assert est.stderr == pytest.approx(plain.estimate().stderr, rel=1e-12)
+        whole = RatioAccumulator()
+        whole.add(logw, v, ordered=True)
+        assert est.value == pytest.approx(whole.estimate().value, rel=1e-12)
+        assert est.stderr == pytest.approx(whole.estimate().stderr, rel=1e-12)
+
+    def test_ordered_stderr_needs_two_rows(self):
+        acc = RatioAccumulator()
+        acc.add([0.0], [0.5], ordered=True)
+        with pytest.raises(ValueError, match="2 replicas"):
+            acc.estimate()
+        acc.add([0.0], [0.25], ordered=True)
+        assert acc.estimate().stderr == pytest.approx(0.125)
 
     def test_empty_accumulator_raises(self):
         with pytest.raises(ValueError):
