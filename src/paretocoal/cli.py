@@ -99,7 +99,8 @@ def _cmd_finite_mc(
     row = estimate_p_row(model, i, replicas, RngStream(seed))
     rows = [(i, j, e.value, e.stderr, e.ess, e.replicas)
             for j, e in enumerate(row, start=1)]
-    comments = []
+    comments = [f"# warning: no replica hit j={j} of row i={i}"
+                for j, e in enumerate(row, start=1) if e.value == 0.0]
     if row[0].degenerate:  # the row's columns share one set of weights
         comments.append(
             f"# warning: degenerate weights for row i={i}, ess={row[0].ess:.1f}"

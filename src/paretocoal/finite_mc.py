@@ -31,8 +31,10 @@ class PartitionModel:
     family "pareto" uses Pareto(alpha) on [1, inf); family "gamma" uses
     gamma(theta) with unit scale. beta is the size-bias exponent applied to
     the total sum. For the pareto family with alpha < 2 the weight moment
-    only exists for beta < alpha; for alpha >= 2 any beta is accepted but
-    large beta still degrades the estimator, which we flag heuristically.
+    only exists for beta < alpha; for alpha >= 2 any beta is accepted.
+    The weights' variance E Sigma^(2 beta) is finite only for 2 beta <
+    alpha, so a model with beta > 0 and 2 beta >= alpha warns: its stderr
+    has no central limit behind it.
 
     A 2-D Pareto draw stratifies the smallest uniform M over a run of
     `total` rows: run row j (blocks start at `first`) takes M = 1 - (1 -
@@ -56,10 +58,11 @@ class PartitionModel:
                 raise ValueError("pareto family requires finite alpha > 0")
             if self.alpha < 2.0 and not self.beta < self.alpha:
                 raise ValueError("beta < alpha required for alpha < 2")
-            if self.alpha >= 2.0 and self.beta >= self.alpha / 2.0 + 1.0:
+            if self.beta > 0 and 2.0 * self.beta >= self.alpha:
                 warnings.warn(
-                    "beta this large gives heavy-tailed weights; expect a "
-                    "degenerate effective sample size",
+                    f"2*beta >= alpha (beta={self.beta}, alpha={self.alpha}) "
+                    "gives heavy-tailed weights of infinite variance; the "
+                    "stderr has no central limit there",
                     RuntimeWarning,
                     # past the generated __init__ and pareto(), to the
                     # line that called PartitionModel.pareto
@@ -191,7 +194,7 @@ def estimate_p_rows_nested(
         for i in i_values:
             j = _distinct_counts(hits[:, :i])
             v = (j[:, None] == np.arange(1, i + 1)[None, :]).astype(float)
-            accs[i].add(log_w, v, model.family == "pareto")
+            accs[i].add(log_w, v)
     rows = {i: accs[i].estimates() for i in i_values}
     # Every accumulator is fed the same log-weights, so all share one ESS.
     warn_if_degenerate(rows[i_top][0], f"P rows for i in {i_values}")
@@ -229,7 +232,7 @@ def estimate_c_N_conditional(
 
     acc = RatioAccumulator(columns=1)
     for log_w, v in replica_blocks(replicas, model.N, rng, block):
-        acc.add(log_w, v, model.family == "pareto")
+        acc.add(log_w, v)
     est = acc.estimate()
     warn_if_degenerate(est, "estimate_c_N_conditional")
     return est

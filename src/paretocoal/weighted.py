@@ -39,17 +39,18 @@ class RatioAccumulator:
     v may be a vector per replica (shape (batch, k)); one estimate per
     column is produced. Weights are taken relative to the largest log-weight
     seen so far, so every stored weight is at most 1 and no sum overflows;
-    a batch that raises the maximum rescales the stored sums. Each batch is
-    reduced to its ratio R and the centered sums of w^2 (v - R) and
-    w^2 (v - R)^2, which merge by moving both to the pooled ratio (Chan,
-    Golub and LeVeque 1979), so the variance never comes from cancelling
-    raw moments.
+    a batch that raises the maximum rescales the stored sums.
 
-    add(..., ordered=True) takes the rows as one stratified sample, a row a
-    stratum in order, across adds; its stderr comes from successive steps,
-    Var(sum z) ~ n/(n-1) sum (z_k - z_(k+1))^2 / 2, z = w (v - R) (Wolter,
-    Introduction to Variance Estimation, ch. 8). The spread between strata
-    stays out; the mean step between neighbours makes it err high.
+    Rows are taken in the order added, across adds, and the stderr comes
+    from successive steps, Var(sum z) ~ n/(n-1) sum (z_k - z_(k+1))^2 / 2,
+    z = w (v - R) (Wolter, Introduction to Variance Estimation, ch. 8). For
+    i.i.d. rows it is unbiased, since E(z_k - z_(k+1))^2 / 2 = Var z; for
+    rows drawn one a stratum in stratum order the spread between strata
+    stays out, and the mean step between neighbours makes it err high.
+    Each batch is reduced to its ratio R and the centered sums over its
+    steps (a, b) of (w v, w), t = a - R b: sum b t and sum t^2. Batches
+    merge by moving both to the pooled ratio (Chan, Golub and LeVeque
+    1979), so the variance never comes from cancelling raw moments.
     """
 
     def __init__(self, columns: int = 1):
@@ -61,9 +62,9 @@ class RatioAccumulator:
         self._ratio = np.zeros(columns)
         self._c1 = np.zeros(columns)  # sum b t
         self._c2 = np.zeros(columns)  # sum t^2
-        self._last = None  # log-weight and v of the last ordered row
+        self._last = None  # log-weight and v of the last row added
 
-    def add(self, log_w: np.ndarray, v: np.ndarray, ordered: bool = False) -> None:
+    def add(self, log_w: np.ndarray, v: np.ndarray) -> None:
         log_w = np.asarray(log_w, dtype=float)
         v = np.asarray(v, dtype=float)
         if v.ndim == 1:
@@ -81,25 +82,17 @@ class RatioAccumulator:
             self._c2 *= f * f
             self._shift = top
         w = np.exp(log_w - self._shift)
-        w2 = w * w
-        sw, sw2 = float(w.sum()), float(w2.sum())
-        if ordered:
-            # (a, b) are the steps of (w v, w); rows that underflow step too
-            ratio = (w @ v) / sw if sw > 0.0 else self._ratio
-            wv = w[:, None] * v
-            if self._last is not None:
-                w0 = math.exp(self._last[0] - self._shift)
-                w, wv = np.r_[w0, w], np.vstack([w0 * self._last[1], wv])
-            self._last = (log_w[-1], v[-1])
-            b = np.diff(w)
-            t = np.diff(wv, axis=0) - ratio * b[:, None]
-            sb2, c1, c2 = float(b @ b), b @ t, (t * t).sum(axis=0)
-        elif sw == 0.0:  # every weight underflows next to the maximum
-            return
-        else:
-            ratio = (w @ v) / sw  # (a, b) = (w v, w)
-            d = v - ratio
-            sb2, c1, c2 = sw2, w2 @ d, w2 @ (d * d)
+        sw, sw2 = float(w.sum()), float((w * w).sum())
+        # rows that underflow next to the maximum step too
+        ratio = (w @ v) / sw if sw > 0.0 else self._ratio
+        wv = w[:, None] * v
+        if self._last is not None:
+            w0 = math.exp(self._last[0] - self._shift)
+            w, wv = np.r_[w0, w], np.vstack([w0 * self._last[1], wv])
+        self._last = (log_w[-1], v[-1])
+        b = np.diff(w)
+        t = np.diff(wv, axis=0) - ratio * b[:, None]
+        sb2, c1, c2 = float(b @ b), b @ t, (t * t).sum(axis=0)
         total = self._sw + sw
         pooled = self._ratio + (ratio - self._ratio) * (sw / total)
         da, db = self._ratio - pooled, ratio - pooled
@@ -110,13 +103,9 @@ class RatioAccumulator:
         self._sw, self._sw2, self._sb2 = total, self._sw2 + sw2, self._sb2 + sb2
 
     def estimates(self) -> list[WeightedEstimate]:
-        if self.n == 0:
-            raise ValueError("no replicas accumulated")
-        c2 = self._c2
-        if self._last is not None:
-            if self.n < 2:
-                raise ValueError("a stratified stderr needs 2 replicas or more")
-            c2 = c2 * (self.n / (2 * (self.n - 1)))
+        if self.n < 2:
+            raise ValueError(f"a stderr needs 2 replicas or more, got {self.n}")
+        c2 = self._c2 * (self.n / (2 * (self.n - 1)))
         stderr = np.sqrt(np.maximum(c2, 0.0)) / self._sw
         ess = self._sw * self._sw / self._sw2 if self._sw2 > 0 else 0.0
         return [

@@ -133,6 +133,32 @@ class TestFiniteMcCommand:
         _, rows = data_rows(text)
         assert len(rows) == 4
 
+    def test_classes_never_hit_are_named(self, tmp_path):
+        # P(4, 1) = 2.4e-8 and P(4, 2) = 3.6e-5 at theta = 1, N = 1000: no
+        # replica of 20000 hits them, so both read 0 with stderr 0.
+        rc, text = run_cli(
+            ["finite-mc", "--theta", "1", "--beta", "1", "--N", "1000",
+             "--i", "4", "--replicas", "20000", "--seed", "42"],
+            tmp_path,
+        )
+        assert rc == 0
+        comments = [l for l in text.splitlines() if l.startswith("# warning:")]
+        assert comments == ["# warning: no replica hit j=1 of row i=4",
+                            "# warning: no replica hit j=2 of row i=4"]
+        _, rows = data_rows(text)
+        assert [r[2:4] for r in rows[:2]] == [["0", "0"], ["0", "0"]]
+
+    def test_row_with_every_class_hit_has_no_warning(self, tmp_path):
+        rc, text = run_cli(
+            ["finite-mc", "--alpha", "1.5", "--N", "1000", "--i", "4",
+             "--replicas", "20000", "--seed", "42"],
+            tmp_path,
+        )
+        assert rc == 0
+        assert "# warning:" not in text
+        _, rows = data_rows(text)
+        assert all(float(r[2]) > 0 for r in rows)
+
 
 class TestDeterminism:
     def test_identical_seed_identical_bytes(self, tmp_path):

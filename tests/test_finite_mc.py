@@ -64,11 +64,26 @@ class TestPartitionModel:
     def test_unconstrained_bias_above_two_warns_when_large(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            PartitionModel.pareto(3.0, 10, beta=2.0)  # fine, no warning
+            PartitionModel.pareto(3.0, 10, beta=1.4)  # fine, no warning
         with pytest.warns(RuntimeWarning) as record:
             PartitionModel.pareto(3.0, 10, beta=2.6)
         # reported at this line, not inside the generated __init__
         assert record[0].filename == __file__
+
+    @pytest.mark.parametrize(
+        "alpha, silent, warned", [(3.0, 1.49, 1.5), (0.8, 0.39, 0.4)]
+    )
+    def test_heavy_tail_warning_at_two_beta_equal_alpha(self, alpha, silent, warned):
+        # E w^2 = E Sigma^(2 beta) is finite if and only if 2 beta < alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PartitionModel.pareto(alpha, 10, beta=silent)
+            PartitionModel.pareto(alpha, 10, beta=-5.0)
+        with pytest.warns(RuntimeWarning) as record:
+            PartitionModel.pareto(alpha, 10, beta=warned)
+        message = str(record[0].message)
+        assert "2*beta >= alpha" in message and "central limit" in message
+        assert f"beta={warned}" in message and f"alpha={alpha}" in message
 
 
 class TestGammaOracle:
@@ -202,11 +217,17 @@ class TestStratifiedDraw:
          # the successive-difference stderr counts those steps: it errs
          # high here (sd of z about 0.7 over 200 seeds).
          (1.5, 10_000, 5000, 0.5),
-         (3.0, 1000, 20_000, 0.7)],
+         (3.0, 1000, 20_000, 0.7),
+         # alpha None: the gamma(1) family, whose rows are i.i.d.
+         pytest.param(None, 1000, 5000, 0.7, id="gamma-1000-5000-0.7")],
     )
     def test_stderr_is_calibrated(self, alpha, N, replicas, low):
-        model = PartitionModel.pareto(alpha, N)
-        exact = pareto_c_N_exact(alpha, 0.0, N)
+        if alpha is None:
+            model = PartitionModel.gamma(1.0, N)
+            exact = gamma_partition_c_N_exact(1.0, N)
+        else:
+            model = PartitionModel.pareto(alpha, N)
+            exact = pareto_c_N_exact(alpha, 0.0, N)
         z = []
         for seed in range(40):
             est = estimate_c_N_conditional(model, replicas, RngStream(126, seed))

@@ -7,6 +7,12 @@ import pytest
 from paretocoal.weighted import RatioAccumulator, WeightedEstimate, mean_estimate
 
 
+def successive_difference_se(v):
+    """The mean's stderr from steps between neighbours, unit weights."""
+    n = v.size
+    return math.sqrt(n / (n - 1) * np.sum(np.diff(v) ** 2) / 2) / n
+
+
 class TestRatioAccumulator:
     def test_zero_log_weights_reduce_to_sample_mean(self):
         rng = np.random.default_rng(0)
@@ -17,10 +23,10 @@ class TestRatioAccumulator:
         est = acc.estimate()
         assert est.value == pytest.approx(v.mean(), rel=1e-12)
         assert est.ess == pytest.approx(5000.0)
-        # delta method with unit weights collapses to the mean's stderr
-        # (population normalization, ddof 0)
+        # with unit weights the steps of z = v - R are the steps of v, and
+        # the stderr is the successive-difference one across both adds
         assert est.stderr == pytest.approx(
-            v.std(ddof=0) / math.sqrt(v.size), rel=1e-9
+            successive_difference_se(v), rel=1e-9
         )
 
     def test_shift_invariance(self):
@@ -77,7 +83,7 @@ class TestRatioAccumulator:
         rng = np.random.default_rng(5)
         u = rng.random(1_000_000)
         v = 1e8 + u
-        want = np.std(v - 1e8) / math.sqrt(v.size)
+        want = successive_difference_se(u)
         acc = RatioAccumulator()
         for lo in range(0, v.size, 250_000):
             acc.add(np.zeros(250_000), v[lo : lo + 250_000])
@@ -105,28 +111,13 @@ class TestRatioAccumulator:
         # ess = (sum w)^2 / sum w^2 = 36/10
         assert acc.estimate().ess == pytest.approx(3.6)
 
-    def test_plain_add_is_the_old_arithmetic(self):
-        rng = np.random.default_rng(6)
-        v = rng.random((1000, 2))
-        logw = rng.normal(size=1000)
-        acc = RatioAccumulator(columns=2)
-        acc.add(logw, v)
-        w = np.exp(logw - logw.max())
-        sw, sw2 = float(w.sum()), float((w * w).sum())
-        ratio = (w @ v) / sw
-        stderr = np.sqrt((w * w) @ ((v - ratio) * (v - ratio))) / sw
-        for k, est in enumerate(acc.estimates()):
-            assert est.value == ratio[k]
-            assert est.stderr == stderr[k]
-            assert est.ess == sw * sw / sw2
-
     def test_ordered_rows_by_hand(self):
         # w = 1, 2, 3, 4 and v = 1, 0, 0, 1: R = 5/10, z = w (v - R) =
         # 1/2, -1, -3/2, 2, successive steps -3/2, -1/2, 7/2, so
         # Var(sum z) = 4/3 * (9/4 + 1/4 + 49/4) / 2 = 59/6.
         logw, v = np.log([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 0.0, 0.0, 1.0])
         acc = RatioAccumulator()
-        acc.add(logw, v, ordered=True)
+        acc.add(logw, v)
         est = acc.estimate()
         assert est.value == pytest.approx(0.5, rel=1e-15)
         assert est.stderr == pytest.approx(math.sqrt(59 / 6) / 10, rel=1e-14)
@@ -138,12 +129,10 @@ class TestRatioAccumulator:
         # is not sampling error, so only the steps (here 1/999) remain.
         v = np.linspace(0.0, 1.0, 1000)
         acc = RatioAccumulator()
-        acc.add(np.zeros(1000), v, ordered=True)
+        acc.add(np.zeros(1000), v)
         est = acc.estimate()
         assert est.stderr == pytest.approx(math.sqrt(1000 / 999 * 999 / 2) / 999 / 1000)
-        plain = RatioAccumulator()
-        plain.add(np.zeros(1000), v)
-        assert est.stderr < plain.estimate().stderr / 400
+        assert est.stderr < np.std(v) / math.sqrt(v.size) / 400
 
     def test_ordered_chunking_is_equivalent(self):
         # Chunks of 1, 2, 37, ... rows; later chunks raise the maximum
@@ -152,11 +141,11 @@ class TestRatioAccumulator:
         v = rng.random((3037, 2))
         logw = rng.normal(size=3037) + np.linspace(0.0, 4.0, 3037)
         one = RatioAccumulator(columns=2)
-        one.add(logw, v, ordered=True)
+        one.add(logw, v)
         many = RatioAccumulator(columns=2)
         cuts = [0, 1, 3, 40, 500, 501, 2000, 3037]
         for lo, hi in zip(cuts, cuts[1:]):
-            many.add(logw[lo:hi], v[lo:hi], ordered=True)
+            many.add(logw[lo:hi], v[lo:hi])
         for a, b in zip(many.estimates(), one.estimates()):
             assert a.value == pytest.approx(b.value, rel=1e-12)
             assert a.stderr == pytest.approx(b.stderr, rel=1e-12)
@@ -172,20 +161,20 @@ class TestRatioAccumulator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in range(v.size):
-                acc.add(logw[k : k + 1], v[k : k + 1], ordered=True)
+                acc.add(logw[k : k + 1], v[k : k + 1])
         est = acc.estimate()
         assert all(math.isfinite(t) for t in (est.value, est.stderr, est.ess))
         whole = RatioAccumulator()
-        whole.add(logw, v, ordered=True)
+        whole.add(logw, v)
         assert est.value == pytest.approx(whole.estimate().value, rel=1e-12)
         assert est.stderr == pytest.approx(whole.estimate().stderr, rel=1e-12)
 
     def test_ordered_stderr_needs_two_rows(self):
         acc = RatioAccumulator()
-        acc.add([0.0], [0.5], ordered=True)
+        acc.add([0.0], [0.5])
         with pytest.raises(ValueError, match="2 replicas"):
             acc.estimate()
-        acc.add([0.0], [0.25], ordered=True)
+        acc.add([0.0], [0.25])
         assert acc.estimate().stderr == pytest.approx(0.125)
 
     def test_empty_accumulator_raises(self):
