@@ -1,8 +1,9 @@
 """Command-line front end: tables, Monte Carlo runs, sweeps, CSV output.
 
 Every run prints a provenance comment line (the seed of a subcommand that
-draws, the flags given, version, numpy version, bit generator) followed by
-a CSV table, and the same flags always produce byte-identical output. Each
+draws, the flags given, version, numpy version, bit generator), one
+`# warning:` line per distinct library warning, and a CSV table; the same
+flags always produce byte-identical output. Each
 subcommand is one computation whose flags, plus --out, are its handler's
 keyword parameters: one without a default is required, and a default of
 None marks a flag whose presence picks a mode (`finite-mc --theta` the gamma
@@ -17,6 +18,7 @@ import dataclasses
 import inspect
 import json
 import sys
+import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -101,10 +103,6 @@ def _cmd_finite_mc(
             for j, e in enumerate(row, start=1)]
     comments = [f"# warning: no replica hit j={j} of row i={i}"
                 for j, e in enumerate(row, start=1) if e.value == 0.0]
-    if row[0].degenerate:  # the row's columns share one set of weights
-        comments.append(
-            f"# warning: degenerate weights for row i={i}, ess={row[0].ess:.1f}"
-        )
     return _csv("i,j,estimate,stderr,ess,replicas", rows, comments)
 
 
@@ -272,15 +270,18 @@ def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
     command, out = args.pop("command"), args.pop("out")
     flags = {k: v for k, v in args.items() if v is not None}
-    try:
-        body = _HANDLERS[command](**flags)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # estimator/runtime failures
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = _provenance(flags) + "\n" + body
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            body = _HANDLERS[command](**flags)
+        except Exception as exc:  # ValueError: invalid parameters, exit 2
+            error = exc
+    # Each distinct library warning, in order, as one comment line.
+    notes = "".join(dict.fromkeys(f"# warning: {w.message}\n" for w in caught))
+    if error is not None:
+        print(f"{notes}error: {error}", file=sys.stderr)
+        return 2 if isinstance(error, ValueError) else 1
+    text = _provenance(flags) + "\n" + notes + body
     if out:
         with open(out, "w") as fh:
             fh.write(text)

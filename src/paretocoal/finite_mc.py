@@ -17,7 +17,9 @@ import numpy as np
 from .samplers import RngStream, pareto_sample, replica_blocks
 from .weighted import RatioAccumulator, WeightedEstimate, warn_if_degenerate
 
-_MAX_STEPS = 100_000
+# Step cap of both discrete chains, run_discrete_coalescent and
+# simulate.simulate_xi; each step they keep is one BlockState, about 120 B.
+_MAX_STEPS = 1_000_000
 # A row whose sum lies outside [1/_SAFE_SUM, _SAFE_SUM] is divided by its
 # sum before squaring, so its squared segments neither overflow nor lose
 # digits to underflow; every other row squares its raw draws.

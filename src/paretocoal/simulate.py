@@ -12,18 +12,19 @@ external branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import finite_mc
 from .finite_mc import BlockState
 from .rates import Params, beta_shape, jump_rates
 from .samplers import RngStream, replica_blocks
 from .weighted import mean_estimate
 
-# Cap on the events of one run. Each Lambda or Kingman event merges at
+# Cap on the events of one Lambda or Kingman run. Each event merges at
 # least two blocks, so n0 - 1 bounds the events and n0 is checked before
-# anything is allocated; a Xi chain can stay put, so it counts its steps.
+# anything is allocated.
 _MAX_EVENTS = 10_000_000
 
 
@@ -132,20 +133,25 @@ def simulate_lambda(
 def simulate_xi(
     matrix, n0: int, rng: RngStream
 ) -> tuple[tuple[BlockState, ...], DiscreteFunctionals]:
-    """Discrete chain from the exact transition matrix until absorption."""
+    """Discrete chain from the exact transition matrix until absorption.
+
+    The chain can stay put, so it counts its steps: one still above one
+    block after finite_mc._MAX_STEPS steps raises RuntimeError.
+    """
     if matrix.kind != "probabilities":
         raise ValueError("simulate_xi needs a probabilities-kind table")
     if not 1 <= n0 <= matrix.i_max:
         raise ValueError(f"need 1 <= n0 <= i_max ({matrix.i_max})")
     gen = rng.gen
+    cap = finite_mc._MAX_STEPS
     cums: dict[int, np.ndarray] = {}
     i = n0
     steps = 0
     collisions = 0
     states = [BlockState(0.0, n0)]
     while i > 1:
-        if steps >= _MAX_EVENTS:
-            raise RuntimeError(f"chain exceeded {_MAX_EVENTS} steps")
+        if steps >= cap:
+            raise RuntimeError(f"chain exceeded {cap} steps")
         cum = cums.get(i)
         if cum is None:
             cum = np.cumsum(matrix.row(i))
@@ -162,13 +168,7 @@ def simulate_xi(
     return tuple(states), DiscreteFunctionals(steps=steps, collisions=collisions)
 
 
-_FUNCTIONALS = (
-    "height",
-    "total_length",
-    "external_length",
-    "collisions",
-    "random_external_branch",
-)
+_FUNCTIONALS = tuple(f.name for f in fields(TreeFunctionals))
 
 
 def kingman_functionals(

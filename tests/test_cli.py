@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from paretocoal import cli
+from paretocoal import cli, finite_mc
 from paretocoal.cli import main
 
 
@@ -115,9 +115,9 @@ class TestFiniteMcCommand:
         assert exc.value.code == 2
         assert "--N" in capsys.readouterr().err
 
-    def test_degenerate_row_warns_once(self, tmp_path):
-        # Every column of a row shares one ESS: one warning, one comment.
-        with warnings.catch_warnings(record=True) as caught:
+    def test_degenerate_row_warns_once(self, tmp_path, capsys):
+        # Every column of a row shares one ESS: one comment, none on stderr.
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
             rc, text = run_cli(
                 ["finite-mc", "--alpha", "2.5", "--N", "50", "--beta", "200",
@@ -125,11 +125,11 @@ class TestFiniteMcCommand:
                 tmp_path,
             )
         assert rc == 0
-        ess_warnings = [w for w in caught
-                        if "weights are degenerate" in str(w.message)]
-        assert len(ess_warnings) == 1
-        comments = [l for l in text.splitlines() if l.startswith("# warning:")]
-        assert comments == ["# warning: degenerate weights for row i=4, ess=1.0"]
+        comments = [l for l in text.splitlines() if l.startswith("# warning:")
+                    and "weights are degenerate" in l]
+        assert len(comments) == 1
+        assert "i in [4]: effective sample size 1.0 " in comments[0]
+        assert capsys.readouterr().err == ""
         _, rows = data_rows(text)
         assert len(rows) == 4
 
@@ -420,6 +420,17 @@ class TestSimulateCommand:
         assert rc == 2 and text == ""
         assert "--N" in capsys.readouterr().err
 
+    def test_xi_step_cap_exits_one(self, monkeypatch, tmp_path, capsys):
+        # At alpha near 1 the chain almost never leaves its state.
+        monkeypatch.setattr(finite_mc, "_MAX_STEPS", 1000)
+        rc, text = run_cli(
+            ["simulate", "--family", "xi", "--alpha", "0.99999999", "--N",
+             "10", "--trajectory", "--seed", "1"],
+            tmp_path,
+        )
+        assert rc == 1 and text == ""
+        assert "chain exceeded 1000 steps" in capsys.readouterr().err
+
     def test_too_few_replicas_exit_two(self, tmp_path, capsys):
         for family in (["beta", "--alpha", "1.5"], ["kingman"]):
             for replicas in ("-3", "0", "1"):
@@ -554,6 +565,22 @@ class TestScalingFitCommand:
         _, rows = data_rows(text)
         assert all(float(se) > 0 for _, _, se in rows)
 
+    def test_heavy_tail_warning_printed_once(self, tmp_path, capsys):
+        # One model per N, each warning alike: one comment line in all.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            rc, text = run_cli(
+                ["scaling-fit", "--alpha", "0.8", "--beta", "0.4",
+                 "--N-grid", "10,20,40,80", "--replicas", "200", "--seed", "1"],
+                tmp_path,
+            )
+        assert rc == 0
+        lines = text.splitlines()
+        comments = [l for l in lines if l.startswith("# warning:")]
+        assert len(comments) == 1 and "2*beta >= alpha" in comments[0]
+        assert lines[1] == comments[0]  # right after the provenance line
+        assert capsys.readouterr().err == ""
+
     def test_grid_validation(self, capsys):
         for args in (
             ["--alpha", "3", "--N-grid", "100,200"],
@@ -567,8 +594,9 @@ class TestScalingFitCommand:
 
     def test_degenerate_weights_exit_two_naming_N(self, tmp_path, capsys):
         # At beta = 200 every point's ESS is about 1; its stderr is noise.
+        # A failed run prints its warning lines on stderr, before the error.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("always")
             rc, text = run_cli(
                 ["scaling-fit", "--alpha", "2.5", "--beta", "200",
                  "--N-grid", "10,20,40,80", "--replicas", "2000",
@@ -579,6 +607,10 @@ class TestScalingFitCommand:
         err = capsys.readouterr().err
         assert "alpha=2.5, beta=200.0, N=[10, 20, 40, 80]" in err
         assert "Singular matrix" not in err
+        *notes, error = err.splitlines()
+        assert notes[0].startswith("# warning: 2*beta >= alpha")
+        assert all(l.startswith("# warning: ") for l in notes)
+        assert error.startswith("error: degenerate weights")
 
 
 class TestNanInputs:

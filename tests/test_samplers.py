@@ -303,7 +303,8 @@ class TestReplicaBlocks:
         assert many == one
 
     def test_conditional_c_N_independent_of_thread_count(self, monkeypatch):
-        model = PartitionModel.pareto(0.8, 2000, beta=0.4)
+        with pytest.warns(RuntimeWarning, match=r"2\*beta >= alpha"):
+            model = PartitionModel.pareto(0.8, 2000, beta=0.4)
         many, one = _with_workers(
             monkeypatch,
             lambda: estimate_c_N_conditional(model, 3000, RngStream(20)),

@@ -12,7 +12,7 @@ from oracles import (
     lambda_row_betaln,
 )
 from paretocoal.rates import Params, jump_rates
-from paretocoal import samplers, simulate
+from paretocoal import finite_mc, samplers, simulate
 from paretocoal.samplers import RngStream
 from paretocoal.simulate import (
     functional_scaling_report,
@@ -248,6 +248,13 @@ class TestSimulateXi:
         assert all(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:]))
         assert blocks[-1] == 1
         assert fn.collisions <= fn.steps
+
+    def test_step_cap_raises(self, monkeypatch):
+        # From 10 blocks at alpha = 0.999 absorption takes about 400 steps.
+        monkeypatch.setattr(finite_mc, "_MAX_STEPS", 50)
+        m = xi_transition_matrix(Params(0.999, 0.0), 10)
+        with pytest.raises(RuntimeError, match="chain exceeded 50 steps"):
+            simulate_xi(m, 10, RngStream(64))
 
 
 class TestFunctionalReport:
