@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     # Each distinct library warning, in order, as one comment line.
     notes = "".join(dict.fromkeys(f"# warning: {w.message}\n" for w in caught))
     if error is not None:
-        print(f"{notes}error: {error}", file=sys.stderr)
+        print(f"{notes}error: {str(error) or type(error).__name__}", file=sys.stderr)
         return 2 if isinstance(error, ValueError) else 1
     text = _provenance(flags) + "\n" + notes + body
     if out:

@@ -132,7 +132,6 @@ class BlockState:
 @dataclass(frozen=True)
 class DiscreteTrajectory:
     states: tuple[BlockState, ...]
-    absorbed: bool
 
     @property
     def steps(self) -> int:
@@ -249,8 +248,9 @@ def run_discrete_coalescent(
     there are surviving blocks. n0 may exceed N (a single-segment partition
     collapses everything in one step). Trajectories are always run unbiased
     (weights enter one-step probability estimates only, not path dynamics).
-    A run still above one block after _MAX_STEPS generations stops there.
-    A step whose partition sums to inf or 0 raises, as in draw_rows.
+    A run still above one block after _MAX_STEPS generations raises
+    RuntimeError, as simulate.simulate_xi does; a step whose partition sums
+    to inf or 0 raises, as in draw_rows.
     """
     if n0 < 1:
         raise ValueError("need n0 >= 1")
@@ -258,7 +258,9 @@ def run_discrete_coalescent(
     blocks = n0
     step = 0
     with np.errstate(over="ignore"):
-        while blocks > 1 and step < _MAX_STEPS:
+        while blocks > 1:
+            if step >= _MAX_STEPS:
+                raise RuntimeError(f"chain exceeded {_MAX_STEPS} steps")
             cum = np.cumsum(model.draw(model.N, rng))
             if not 0 < cum[-1] < np.inf:
                 raise model._no_partition()
@@ -267,4 +269,4 @@ def run_discrete_coalescent(
             blocks = int(np.unique(idx).size)
             step += 1
             states.append(BlockState(float(step), blocks))
-    return DiscreteTrajectory(states=tuple(states), absorbed=blocks == 1)
+    return DiscreteTrajectory(states=tuple(states))

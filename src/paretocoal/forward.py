@@ -28,6 +28,8 @@ from .specfun import digamma
 from .weighted import WeightedEstimate, mean_estimate
 
 _LOG_MAX_DOUBLE = float(np.log(np.finfo(float).max))
+# A trajectory keeps one ForwardState per generation, about 350 B each.
+_MAX_GENERATIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ def _walk(start: ForwardState, config: ForwardConfig, incr, log_tau1):
 
 
 def trajectory(config: ForwardConfig, rng: RngStream) -> list[ForwardState]:
+    if config.generations > _MAX_GENERATIONS:
+        raise ValueError(f"generations must be <= {_MAX_GENERATIONS}")
     states = [initial_state(config)]
     for tau in _arrival_blocks(config, rng):
         states += _walk(states[-1], config, *_log_increments(tau, config.alpha))

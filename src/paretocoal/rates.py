@@ -60,14 +60,6 @@ class Params:
         return "kingman"
 
 
-def _require_lambda_regime(params: Params) -> None:
-    if params.regime not in ("bs", "beta"):
-        raise ValueError(
-            f"lambda rates are defined for alpha in [1, 2), got regime "
-            f"{params.regime!r}"
-        )
-
-
 def beta_shape(params: Params) -> tuple[float, float]:
     """(a, b) of the beta(2-a, a-b) measure whose recursion gives the rates.
 
@@ -102,18 +94,11 @@ def lambda_rate(params: Params, i: int, j: int) -> float:
     """Rate of an i-to-j merger for the beta(2-alpha, alpha-beta) measure.
 
     lambda_(i,j) = C(i, j-1) B(i-j+1-alpha, alpha-beta+j-1) / B(2-alpha, alpha-beta),
-    read off rate_row.
+    read off rate_row; for alpha >= 2 these are Kingman's rates.
     """
-    _require_lambda_regime(params)
     if i < 2 or not 1 <= j < i:
         raise ValueError("need i >= 2 and 1 <= j < i")
     return float(rate_row(params, i)[j - 1])
-
-
-def lambda_row(params: Params, i: int) -> np.ndarray:
-    """rate_row for alpha in [1, 2) only."""
-    _require_lambda_regime(params)
-    return rate_row(params, i)
 
 
 def rate_row(params: Params, i: int) -> np.ndarray:

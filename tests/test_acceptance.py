@@ -45,8 +45,8 @@ from paretocoal.rates import (
     Params,
     block_loss_rate,
     lambda_rate,
-    lambda_row,
     mean_first_collision_size,
+    rate_row,
     stirling_case_matrix,
     total_rate,
     xi_transition_matrix,
@@ -232,7 +232,7 @@ class TestCriterion05RateAlgebra:
                         - mean_first_collision_quad(a, b, i)
                     ),
                 )
-                row = lambda_row(p, i)
+                row = rate_row(p, i)
                 jj = np.arange(1, i)
                 lam = row.sum()
                 r1 = float(((i - jj) * row).sum())

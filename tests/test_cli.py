@@ -356,6 +356,15 @@ class TestFlagsRead:
         assert main(["gclt", "--alpha", "1", "--N", "10"]) == 1
         assert "internal fault" in capsys.readouterr().err
 
+    def test_empty_message_names_the_exception_type(self, monkeypatch, capsys):
+        @functools.wraps(cli._HANDLERS["gclt"])
+        def exhausted(**flags):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._HANDLERS, "gclt", exhausted)
+        assert main(["gclt", "--alpha", "1", "--N", "10"]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
 
 class TestSimulateCommand:
     def test_kingman_pair_height(self, tmp_path):
@@ -479,6 +488,16 @@ class TestForwardCommand:
                 )
             assert rc == 2 and text == ""
             assert "replicas" in capsys.readouterr().err
+
+    def test_generation_cap_exits_two(self, tmp_path, capsys):
+        rc, text = run_cli(
+            ["forward", "--alpha", "1", "--N", "10", "--generations", "1000001",
+             "--seed", "1"],
+            tmp_path,
+        )
+        assert rc == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "generations" in err and "1000000" in err
 
     def test_pressure_sweep(self, tmp_path):
         rc, text = run_cli(

@@ -451,9 +451,9 @@ class TestDiscreteCoalescent:
         model = PartitionModel.pareto(1.0, 1)
         for n0 in (2, 5, 12):
             traj = run_discrete_coalescent(model, n0, RngStream(41, n0))
-            assert traj.absorbed and traj.steps == 1
+            assert traj.steps == 1 and traj.states[-1].blocks == 1
         already = run_discrete_coalescent(model, 1, RngStream(42))
-        assert already.absorbed and already.steps == 0
+        assert already.steps == 0 and already.states[-1].blocks == 1
 
     def test_block_counts_never_increase(self):
         model = PartitionModel.pareto(0.7, 50)
@@ -462,9 +462,8 @@ class TestDiscreteCoalescent:
         assert all(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:]))
         assert blocks[-1] == 1
 
-    def test_one_step_matches_row_estimates(self, monkeypatch):
-        monkeypatch.setattr(finite_mc, "_MAX_STEPS", 1)
-        model = PartitionModel.gamma(1.0, 100)
+    def test_one_step_matches_row_estimates(self):
+        model = PartitionModel.gamma(1.0, 10)
         reps = 20_000
         rng = RngStream(44)
         firsts = np.empty(reps, dtype=int)
@@ -477,11 +476,11 @@ class TestDiscreteCoalescent:
             se = math.sqrt(max(freq * (1 - freq), 1e-12) / reps)
             assert abs(freq - row[j - 1].value) < 3 * math.hypot(se, row[j - 1].stderr)
 
-    def test_truncation_flag(self, monkeypatch):
+    def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(finite_mc, "_MAX_STEPS", 2)
         model = PartitionModel.gamma(0.5, 10_000)
-        traj = run_discrete_coalescent(model, 50, RngStream(46))
-        assert not traj.absorbed and traj.steps == 2
+        with pytest.raises(RuntimeError, match="exceeded 2 steps"):
+            run_discrete_coalescent(model, 50, RngStream(46))
 
     def test_pareto_overflow_raises(self):
         # A Pareto(0.01) draw U^(-100) overflows when U < 8.3e-4, so about

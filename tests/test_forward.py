@@ -131,6 +131,17 @@ class TestLogSpaceConsistency:
         assert len(states) == 2001
         assert peak < 16 * 2**20
 
+    def test_generation_cap_fails_before_drawing(self, monkeypatch):
+        # Each stored state costs about 350 B, so the cap bounds memory;
+        # the speed path keeps one double a generation and has no cap.
+        monkeypatch.setattr(forward, "_MAX_GENERATIONS", 5)
+        rng = RngStream(99)
+        with pytest.raises(ValueError, match="generations must be <= 5"):
+            trajectory(ForwardConfig(N=10, alpha=1.0, generations=6), rng)
+        assert np.array_equal(rng.gen.random(3), RngStream(99).gen.random(3))
+        assert len(trajectory(ForwardConfig(10, 1.0, 5), RngStream(99))) == 6
+        assert increments(ForwardConfig(10, 1.0, 6), RngStream(99)).size == 6
+
 
 class TestDrift:
     def test_selection_part_is_digamma(self):

@@ -30,7 +30,6 @@ from paretocoal.rates import (
     comes_down_diagnostic,
     jump_rates,
     lambda_rate,
-    lambda_row,
     mean_first_collision_size,
     block_loss_rate,
     rate_row,
@@ -87,7 +86,7 @@ class TestLambdaRate:
     def test_row_matches_scalar(self):
         p = Params(1.3, -0.5)
         ref = lambda_row_betaln(1.3, -0.5, 9)
-        assert_allclose(lambda_row(p, 9), ref, rtol=1e-13)
+        assert_allclose(rate_row(p, 9), ref, rtol=1e-13)
         assert_allclose([lambda_rate(p, 9, j) for j in range(1, 9)], ref, rtol=1e-13)
 
     @pytest.mark.parametrize(
@@ -97,7 +96,7 @@ class TestLambdaRate:
         # 40-digit reference for sampled entries of one deep row; log-gamma
         # rows miss 1e-13 here by more than an order of magnitude.
         i = 2000
-        row = lambda_row(Params(a, b), i)
+        row = rate_row(Params(a, b), i)
         ma, mb = mp.mpf(a), mp.mpf(b)
         js = [1, 2, i - 2, i - 1, *np.random.default_rng(8).integers(1, i, 40)]
         with mp.workdps(40):
@@ -117,10 +116,8 @@ class TestLambdaRate:
                     ) <= 1e-8
 
     def test_regime_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="xi regime"):
             lambda_rate(Params(0.5, 0.0), 3, 1)
-        with pytest.raises(ValueError):
-            lambda_rate(Params(3.0, 0.0), 3, 1)
         with pytest.raises(ValueError):
             lambda_rate(Params(1.5, 0.0), 3, 3)
 
@@ -149,6 +146,11 @@ class TestKingmanEnd:
             assert np.array_equal(
                 comes_down_diagnostic(p, i), np.cumsum(2.0 / (m * (m - 1.0)))
             )
+        for i in range(2, 11):
+            p = Params(alpha, i - 1.0 if beta == "i-1" else beta)
+            rates = [lambda_rate(p, i, j) for j in range(1, i)]
+            assert rates == list(rate_row(p, i))
+            assert rates[-1] == math.comb(i, 2) == total_rate(p, i)
 
 
 class TestKingman:
@@ -189,7 +191,7 @@ class TestTotalsAndLossRates:
         for a, b in PAIRS:
             p = Params(a, b)
             for i in range(2, 11):
-                row = lambda_row(p, i)
+                row = rate_row(p, i)
                 j = np.arange(1, i)
                 lam = row.sum()
                 r_direct = float(((i - j) * row).sum())
@@ -257,7 +259,7 @@ class TestRatioRecursion:
         p = Params(a, b)
         moments = _beta_moments(p, i)
         row = lambda_row_betaln(a, b, i)
-        assert_allclose(lambda_row(p, i), row, rtol=1e-11)
+        assert_allclose(rate_row(p, i), row, rtol=1e-11)
         k = i - np.arange(1, i) + 1.0
         row_total = math.fsum(row)
         row_loss = math.fsum((k - 1.0) * row)
@@ -309,7 +311,7 @@ class TestRatioRecursion:
 
         def per_tuple(n):
             k = n - np.arange(1, n) + 1
-            return lambda_row(p, n) / np.array([float(math.comb(n, int(c))) for c in k])
+            return rate_row(p, n) / np.array([float(math.comb(n, int(c))) for c in k])
 
         lo, hi = per_tuple(b), per_tuple(b + 1)
         # entry j of row b joins k = b - j + 1 blocks; in row b+1 that k
