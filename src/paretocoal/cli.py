@@ -148,11 +148,12 @@ def _cmd_simulate(
             matrix = xi_transition_matrix(
                 Params(_require(alpha, "--alpha"), beta), n0
             )
-            states, _ = simulate_xi(matrix, n0, rng)
+            blocks, _ = simulate_xi(matrix, n0, rng)
+            times = range(len(blocks))
         else:
             params = family_params(family, alpha, beta)
-            states, _ = simulate_lambda(params, n0, rng)
-        return _csv("time_or_step,blocks", ((s.when, s.blocks) for s in states))
+            (times, blocks), _ = simulate_lambda(params, n0, rng)
+        return _csv("time_or_step,blocks", zip(times, blocks))
     if family == "xi":
         raise ValueError("--family xi needs --trajectory")
     if N_grid is not None:

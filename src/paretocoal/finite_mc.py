@@ -17,8 +17,8 @@ import numpy as np
 from .samplers import RngStream, pareto_sample, replica_blocks
 from .weighted import RatioAccumulator, WeightedEstimate, warn_if_degenerate
 
-# Step cap of both discrete chains, run_discrete_coalescent and
-# simulate.simulate_xi; each step they keep is one BlockState, about 120 B.
+# Step cap of absorb, the loop of both discrete chains; each step it keeps
+# is one int of the path.
 _MAX_STEPS = 1_000_000
 # A row whose sum lies outside [1/_SAFE_SUM, _SAFE_SUM] is divided by its
 # sum before squaring, so its squared segments neither overflow nor lose
@@ -32,11 +32,11 @@ class PartitionModel:
 
     family "pareto" uses Pareto(alpha) on [1, inf); family "gamma" uses
     gamma(theta) with unit scale. beta is the size-bias exponent applied to
-    the total sum. For the pareto family with alpha < 2 the weight moment
-    only exists for beta < alpha; for alpha >= 2 any beta is accepted.
-    The weights' variance E Sigma^(2 beta) is finite only for 2 beta <
-    alpha, so a model with beta > 0 and 2 beta >= alpha warns: its stderr
-    has no central limit behind it.
+    the total sum. For the pareto family E Sigma^beta is finite if and only
+    if beta < alpha, at every alpha; beta >= alpha is refused below alpha
+    = 2 but still accepted from alpha = 2 on. The weights' variance E
+    Sigma^(2 beta) is finite only for 2 beta < alpha, so a model with beta
+    > 0 and 2 beta >= alpha warns: its stderr has no central limit.
 
     A 2-D Pareto draw stratifies the smallest uniform M over a run of
     `total` rows: run row j (blocks start at `first`) takes M = 1 - (1 -
@@ -239,6 +239,20 @@ def estimate_c_N_conditional(
     return est
 
 
+def absorb(n0: int, step) -> list[int]:
+    """Block counts at steps 0, 1, .. of a discrete chain until one remains.
+
+    step(blocks) draws the next count. The chain can stay put, so one still
+    above one block after _MAX_STEPS steps raises RuntimeError.
+    """
+    path = [n0]
+    while path[-1] > 1:
+        if len(path) > _MAX_STEPS:
+            raise RuntimeError(f"chain exceeded {_MAX_STEPS} steps")
+        path.append(step(path[-1]))
+    return path
+
+
 def run_discrete_coalescent(
     model: PartitionModel, n0: int, rng: RngStream
 ) -> DiscreteTrajectory:
@@ -248,25 +262,18 @@ def run_discrete_coalescent(
     there are surviving blocks. n0 may exceed N (a single-segment partition
     collapses everything in one step). Trajectories are always run unbiased
     (weights enter one-step probability estimates only, not path dynamics).
-    A run still above one block after _MAX_STEPS generations raises
-    RuntimeError, as simulate.simulate_xi does; a step whose partition sums
-    to inf or 0 raises, as in draw_rows.
+    The chain runs through absorb and its step cap; a step whose partition
+    sums to inf or 0 raises, as in draw_rows.
     """
     if n0 < 1:
         raise ValueError("need n0 >= 1")
-    states = [BlockState(0.0, n0)]
-    blocks = n0
-    step = 0
+    def step(blocks: int) -> int:
+        cum = np.cumsum(model.draw(model.N, rng))
+        if not 0 < cum[-1] < np.inf:
+            raise model._no_partition()
+        u = rng.gen.random(blocks) * cum[-1]
+        return int(np.unique(np.searchsorted(cum, u, side="left")).size)
+
     with np.errstate(over="ignore"):
-        while blocks > 1:
-            if step >= _MAX_STEPS:
-                raise RuntimeError(f"chain exceeded {_MAX_STEPS} steps")
-            cum = np.cumsum(model.draw(model.N, rng))
-            if not 0 < cum[-1] < np.inf:
-                raise model._no_partition()
-            u = rng.gen.random(blocks) * cum[-1]
-            idx = np.searchsorted(cum, u, side="left")
-            blocks = int(np.unique(idx).size)
-            step += 1
-            states.append(BlockState(float(step), blocks))
-    return DiscreteTrajectory(states=tuple(states))
+        path = enumerate(absorb(n0, step))
+    return DiscreteTrajectory(tuple(BlockState(float(k), b) for k, b in path))

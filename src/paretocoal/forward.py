@@ -43,6 +43,10 @@ class ForwardConfig:
             raise ValueError("N >= 2 required")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"finite alpha > 0 required, got {self.alpha}")
+        if not math.log(self.N) / self.alpha < math.inf:
+            raise ValueError(
+                f"ln(N)/alpha overflows at alpha={self.alpha}, N={self.N}"
+            )
         if self.generations < 1:
             raise ValueError("generations >= 1 required")
 
@@ -180,6 +184,8 @@ def pressure(alpha: float, N: int, beta: float) -> float:
         )
     if not beta < alpha:
         raise ValueError("pressure requires beta < alpha")
+    if not abs(beta / alpha) < math.inf:
+        raise ValueError(f"beta/alpha overflows at beta={beta}, alpha={alpha}")
     loglog = math.log(math.log(N))
     corr = digamma(1.0 - beta / alpha) - loglog - 1.0
     return -(beta / alpha) * loglog - beta / (alpha * math.log(N)) * corr

@@ -16,8 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import finite_mc
-from .finite_mc import BlockState
+from .finite_mc import absorb
 from .rates import Params, beta_shape, jump_rates
 from .samplers import RngStream, replica_blocks
 from .weighted import mean_estimate
@@ -70,12 +69,12 @@ def _merger_size(
 
 
 def simulate_lambda(
-    params: Params,
-    n0: int,
-    rng: RngStream,
-    record_trajectory: bool = True,
-) -> tuple[tuple[BlockState, ...], TreeFunctionals]:
+    params: Params, n0: int, rng: RngStream
+) -> tuple[tuple[list[float], list[int]], TreeFunctionals]:
     """One continuous-time trajectory from n0 blocks down to 1.
+
+    Returns the times and block counts of its events, time 0 first, and
+    its tree functionals.
 
     params picks the beta(2-alpha, alpha-beta) multiple-merger rates
     (alpha in [1, 2)) or binary mergers (alpha >= 2, the recursion's
@@ -98,8 +97,7 @@ def simulate_lambda(
     total_len = 0.0
     ext_len = 0.0
     tagged_len = 0.0
-    collisions = 0
-    states = [BlockState(0.0, n0)] if record_trajectory else None
+    times, blocks = [t], [i]
     while i > 1:
         lam = total[i]
         hold = gen.standard_exponential() / lam
@@ -117,55 +115,42 @@ def simulate_lambda(
             tagged_alive = False
         singles -= m
         i -= k - 1
-        collisions += 1
-        if record_trajectory:
-            states.append(BlockState(t, i))
+        times.append(t)
+        blocks.append(i)
     fn = TreeFunctionals(
         height=t,
         total_length=total_len,
         external_length=ext_len,
-        collisions=collisions,
+        collisions=len(blocks) - 1,
         random_external_branch=tagged_len,
     )
-    return (tuple(states) if record_trajectory else (), fn)
+    return (times, blocks), fn
 
 
 def simulate_xi(
     matrix, n0: int, rng: RngStream
-) -> tuple[tuple[BlockState, ...], DiscreteFunctionals]:
+) -> tuple[list[int], DiscreteFunctionals]:
     """Discrete chain from the exact transition matrix until absorption.
 
-    The chain can stay put, so it counts its steps: one still above one
-    block after finite_mc._MAX_STEPS steps raises RuntimeError.
+    Returns the block counts at steps 0, 1, .. and the step and collision
+    counts; the chain runs through finite_mc.absorb and its step cap.
     """
     if matrix.kind != "probabilities":
         raise ValueError("simulate_xi needs a probabilities-kind table")
     if not 1 <= n0 <= matrix.i_max:
         raise ValueError(f"need 1 <= n0 <= i_max ({matrix.i_max})")
     gen = rng.gen
-    cap = finite_mc._MAX_STEPS
     cums: dict[int, np.ndarray] = {}
-    i = n0
-    steps = 0
-    collisions = 0
-    states = [BlockState(0.0, n0)]
-    while i > 1:
-        if steps >= cap:
-            raise RuntimeError(f"chain exceeded {cap} steps")
+    def step(i: int) -> int:
         cum = cums.get(i)
         if cum is None:
-            cum = np.cumsum(matrix.row(i))
-            cums[i] = cum
-        j = min(
-            int(np.searchsorted(cum, gen.random() * cum[-1], side="right")) + 1,
-            i,
-        )
-        steps += 1
-        if j < i:
-            collisions += 1
-            i = j
-        states.append(BlockState(float(steps), i))
-    return tuple(states), DiscreteFunctionals(steps=steps, collisions=collisions)
+            cum = cums[i] = np.cumsum(matrix.row(i))
+        j = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
+        return min(j + 1, i)
+
+    blocks = absorb(n0, step)
+    collisions = sum(j < i for i, j in zip(blocks, blocks[1:]))
+    return blocks, DiscreteFunctionals(len(blocks) - 1, collisions)
 
 
 _FUNCTIONALS = tuple(f.name for f in fields(TreeFunctionals))
@@ -297,9 +282,7 @@ def functional_scaling_report(
         else:
             acc = {name: np.empty(replicas) for name in _FUNCTIONALS}
             for r in range(replicas):
-                _, fn = simulate_lambda(
-                    params, n0, stream, record_trajectory=False
-                )
+                _, fn = simulate_lambda(params, n0, stream)
                 for name in _FUNCTIONALS:
                     acc[name][r] = getattr(fn, name)
             samples = acc

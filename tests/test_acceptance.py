@@ -293,9 +293,7 @@ class TestCriterion06KingmanFunctionals:
         rng = RngStream(106, 2)
         for n0 in (5, 12, 20):
             for _ in range(30):
-                _, fn = simulate_lambda(
-                    Params(3.0, 0.0), n0, rng, record_trajectory=False
-                )
+                _, fn = simulate_lambda(Params(3.0, 0.0), n0, rng)
                 collisions_ok = collisions_ok and fn.collisions == n0 - 1
         ext = kingman_functionals(100, reps, RngStream(106, 3))["external_length"]
         ext_ok = abs(ext.mean() - 2.0) / 2.0 < 0.15
@@ -316,7 +314,7 @@ class TestCriterion07LogFamilyTrends:
             rng = RngStream(107, salt)
             cs = np.empty(reps)
             for r in range(reps):
-                _, fn = simulate_lambda(params, n0, rng, record_trajectory=False)
+                _, fn = simulate_lambda(params, n0, rng)
                 cs[r] = fn.collisions
             ratios[n0] = cs.mean() / (n0 / math.log(n0))
         in_band = all(0.6 < v < 1.4 for v in ratios.values())

@@ -654,6 +654,10 @@ class TestNanInputs:
             (["gclt", "--alpha", "inf", "--N", "100", "--replicas", "1000"],
              "alpha"),
             (["pressure", "--alpha", "inf", "--N", "10"], "alpha"),
+            # ln(N)/alpha and beta/alpha overflow to inf at alpha = 1e-308
+            (["forward", "--alpha", "1e-308", "--N", "10", "--generations",
+              "2"], "alpha"),
+            (["pressure", "--alpha", "1e-308", "--N", "10"], "alpha"),
         ],
     )
     def test_nan_exits_two_naming_the_parameter(

@@ -14,6 +14,7 @@ from oracles import (
 from paretocoal import finite_mc
 from paretocoal.finite_mc import (
     PartitionModel,
+    absorb,
     estimate_c_N,
     estimate_c_N_conditional,
     estimate_p_row,
@@ -447,6 +448,17 @@ class TestMomentForm:
 
 
 class TestDiscreteCoalescent:
+    def test_absorb_path_and_cap(self, monkeypatch):
+        def never(blocks):
+            raise AssertionError(f"step called at {blocks} blocks")
+
+        assert absorb(1, never) == [1]
+        assert absorb(5, lambda b: b - 1) == [5, 4, 3, 2, 1]
+        monkeypatch.setattr(finite_mc, "_MAX_STEPS", 5)
+        assert absorb(6, lambda b: b - 1) == [6, 5, 4, 3, 2, 1]
+        with pytest.raises(RuntimeError, match="exceeded 5 steps"):
+            absorb(3, lambda b: b)
+
     def test_single_segment_collapses_in_one_step(self):
         model = PartitionModel.pareto(1.0, 1)
         for n0 in (2, 5, 12):

@@ -60,7 +60,8 @@ class TestConfigAndState:
             ForwardConfig(N=10, alpha=0.0, generations=10)
 
     def test_nan_fails_naming_the_parameter(self):
-        for alpha in (math.nan, math.inf):
+        # At alpha = 1e-308 generation 0's ln(N)/alpha overflows.
+        for alpha in (math.nan, math.inf, 1e-308):
             with pytest.raises(ValueError, match="alpha"):
                 ForwardConfig(N=10, alpha=alpha, generations=10)
 

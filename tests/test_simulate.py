@@ -43,24 +43,24 @@ class TestSimulateLambda:
         rng = RngStream(51)
         for n0 in (2, 7, 20):
             for _ in range(20):
-                _, fn = simulate_lambda(KINGMAN, n0, rng, record_trajectory=False)
+                _, fn = simulate_lambda(KINGMAN, n0, rng)
                 assert fn.collisions == n0 - 1
 
     def test_mean_height_near_two(self):
         rng = RngStream(52)
         h = np.array(
-            [simulate_lambda(KINGMAN, 20, rng, record_trajectory=False)[1].height
+            [simulate_lambda(KINGMAN, 20, rng)[1].height
              for _ in range(4000)]
         )
         se = h.std(ddof=1) / math.sqrt(h.size)
         assert abs(h.mean() - 1.9) < 3 * se
 
     def test_trajectory_shape(self):
-        traj, fn = simulate_lambda(Params(1.5, 0.0), 12, RngStream(53))
-        blocks = [s.blocks for s in traj]
+        path, fn = simulate_lambda(Params(1.5, 0.0), 12, RngStream(53))
+        times, blocks = path
         assert blocks[0] == 12 and blocks[-1] == 1
         assert all(b2 < b1 for b1, b2 in zip(blocks, blocks[1:]))
-        times = [s.when for s in traj]
+        assert times[0] == 0.0 and fn.collisions == len(times) - 1
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         assert fn.height == pytest.approx(times[-1])
         assert fn.external_length <= fn.total_length
@@ -73,8 +73,8 @@ class TestSimulateLambda:
         rng = RngStream(54)
         first_jump = np.empty(reps, dtype=int)
         for r in range(reps):
-            traj, _ = simulate_lambda(params, i, rng)
-            first_jump[r] = traj[1].blocks
+            (_, blocks), _ = simulate_lambda(params, i, rng)
+            first_jump[r] = blocks[1]
         row = lambda_row_betaln(params.alpha, params.beta, i)
         probs = row / row.sum()
         for j in range(1, i):
@@ -91,7 +91,7 @@ class TestSimulateLambda:
             exact = kingman_tagged_branch_exact(i)
             assert exact == pytest.approx(2.0 / i, rel=1e-12)
             vals = np.array(
-                [simulate_lambda(KINGMAN, i, rng, record_trajectory=False)[1]
+                [simulate_lambda(KINGMAN, i, rng)[1]
                  .random_external_branch for _ in range(20_000)]
             )
             se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -146,7 +146,7 @@ class TestSimulateLambda:
             )
         rng = RngStream(seed)
         fns = [
-            simulate_lambda(params, n0, rng, record_trajectory=False)[1]
+            simulate_lambda(params, n0, rng)[1]
             for _ in range(reps)
         ]
         for name, want in exact.items():
@@ -170,9 +170,7 @@ class TestSimulateLambda:
         rng = RngStream(70)
         tracemalloc.start()
         try:
-            _, fn = simulate_lambda(
-                Params(1.5, 0.0), 10**5, rng, record_trajectory=False
-            )
+            _, fn = simulate_lambda(Params(1.5, 0.0), 10**5, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -187,7 +185,7 @@ class TestKingmanBatch:
         rng = RngStream(58)
         gen = {k: np.empty(reps) for k in batch}
         for r in range(reps):
-            _, fn = simulate_lambda(KINGMAN, n0, rng, record_trajectory=False)
+            _, fn = simulate_lambda(KINGMAN, n0, rng)
             gen["height"][r] = fn.height
             gen["total_length"][r] = fn.total_length
             gen["external_length"][r] = fn.external_length
@@ -243,11 +241,12 @@ class TestSimulateXi:
 
     def test_non_increasing_blocks(self):
         m = xi_transition_matrix(Params(0.7, 0.0), 12)
-        traj, fn = simulate_xi(m, 12, RngStream(63))
-        blocks = [s.blocks for s in traj]
+        blocks, fn = simulate_xi(m, 12, RngStream(63))
         assert all(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:]))
         assert blocks[-1] == 1
-        assert fn.collisions <= fn.steps
+        assert fn.steps == len(blocks) - 1
+        falls = sum(b2 < b1 for b1, b2 in zip(blocks, blocks[1:]))
+        assert fn.collisions == falls <= fn.steps
 
     def test_step_cap_raises(self, monkeypatch):
         # From 10 blocks at alpha = 0.999 absorption takes about 400 steps.
