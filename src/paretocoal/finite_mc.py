@@ -36,7 +36,11 @@ class PartitionModel:
     if beta < alpha, at every alpha; beta >= alpha is refused below alpha
     = 2 but still accepted from alpha = 2 on. The weights' variance E
     Sigma^(2 beta) is finite only for 2 beta < alpha, so a model with beta
-    > 0 and 2 beta >= alpha warns: its stderr has no central limit.
+    > 0 and 2 beta >= alpha warns: its stderr has no central limit. A gamma
+    total is independent of the normalized partition (Lukacs 1955), so
+    beta leaves the gamma partition law unchanged. The block estimators
+    draw gamma segments; run_discrete_coalescent walks their PD(-theta,
+    N theta) urn instead.
 
     A 2-D Pareto draw stratifies the smallest uniform M over a run of
     `total` rows: run row j (blocks start at `first`) takes M = 1 - (1 -
@@ -131,11 +135,17 @@ class BlockState:
 
 @dataclass(frozen=True)
 class DiscreteTrajectory:
-    states: tuple[BlockState, ...]
+    """A chain's block counts at steps 0, 1, ..; states builds BlockState
+    views of them on each read."""
+    blocks: list[int]
 
     @property
     def steps(self) -> int:
-        return len(self.states) - 1
+        return len(self.blocks) - 1
+
+    @property
+    def states(self) -> tuple[BlockState, ...]:
+        return tuple(BlockState(float(k), b) for k, b in enumerate(self.blocks))
 
 
 def _distinct_counts(idx: np.ndarray) -> np.ndarray:
@@ -258,12 +268,16 @@ def run_discrete_coalescent(
 ) -> DiscreteTrajectory:
     """Iterate the one-step merger dynamics until one block remains.
 
-    Each generation draws a fresh partition and throws as many uniforms as
-    there are surviving blocks. n0 may exceed N (a single-segment partition
-    collapses everything in one step). Trajectories are always run unbiased
-    (weights enter one-step probability estimates only, not path dynamics).
-    The chain runs through absorb and its step cap; a step whose partition
-    sums to inf or 0 raises, as in draw_rows.
+    A Pareto step throws as many uniforms as there are blocks on a fresh
+    partition and raises, as draw_rows does, if it sums to inf or 0. A
+    gamma step walks the Polya urn of a symmetric Dirichlet(theta) vector
+    of N colours, Pitman's PD(-theta, N theta): after n throws on k blocks,
+    throw n + 1 opens a new block with chance (N - k) theta / (n + N theta).
+    The block estimators still draw gamma segments. n0 may exceed N. Paths
+    are unbiased: beta enters the estimators' weights only, and for the
+    gamma family the total is independent of the normalized partition
+    (Lukacs 1955), so beta leaves its law unchanged. The chain runs through
+    absorb and its step cap.
     """
     if n0 < 1:
         raise ValueError("need n0 >= 1")
@@ -273,7 +287,12 @@ def run_discrete_coalescent(
             raise model._no_partition()
         u = rng.gen.random(blocks) * cum[-1]
         return int(np.unique(np.searchsorted(cum, u, side="left")).size)
+    def urn_step(blocks: int) -> int:
+        k = 1
+        for n, u in enumerate(rng.gen.random(blocks - 1).tolist(), 1):
+            k += u * (n / model.theta + model.N) < model.N - k
+        return k
 
     with np.errstate(over="ignore"):
-        path = enumerate(absorb(n0, step))
-    return DiscreteTrajectory(tuple(BlockState(float(k), b) for k, b in path))
+        return DiscreteTrajectory(
+            absorb(n0, urn_step if model.family == "gamma" else step))

@@ -90,12 +90,20 @@ def _log_increments(tau: np.ndarray, alpha: float):
     return np.log(inv.sum(axis=1)) / alpha, log_tau1
 
 
+def _overflow(what: str, config: ForwardConfig) -> ValueError:
+    return ValueError(f"{what} overflows at alpha={config.alpha}, N={config.N}")
+
+
 def _walk(start: ForwardState, config: ForwardConfig, incr, log_tau1):
-    """The states after start, one per increment; only logs move."""
+    """The states after start, one per increment; only logs move. Raises
+    ValueError at the first generation whose log fitness is not finite."""
     g = np.cumsum(np.concatenate(([start.log_global], incr)))
     h = g[1:] - math.log(config.N) / config.alpha
     f = g[:-1] - log_tau1 / config.alpha
     k = range(start.k + 1, start.k + 1 + incr.size)
+    ok = np.isfinite(g[1:]) & np.isfinite(h) & np.isfinite(f)
+    if not ok.all():
+        raise _overflow(f"log fitness at generation {k[np.argmin(ok)]}", config)
     return list(map(ForwardState, k, g[1:].tolist(), h.tolist(), f.tolist()))
 
 
@@ -132,11 +140,15 @@ def explicit_fitnesses(
 
 
 def increments(config: ForwardConfig, rng: RngStream) -> np.ndarray:
-    """All per-generation log increments of one trajectory, vectorized."""
-    return np.concatenate(
+    """All per-generation log increments of one trajectory, vectorized;
+    raises ValueError if one is not finite."""
+    incr = np.concatenate(
         [_log_increments(tau, config.alpha)[0]
          for tau in _arrival_blocks(config, rng)]
     )
+    if not np.isfinite(incr).all():
+        raise _overflow("a log increment", config)
+    return incr
 
 
 def speed_estimate(
@@ -153,7 +165,10 @@ def speed_estimate(
         raise ValueError(f"replicas >= 2 required, got {replicas}")
     means = ordered_map(lambda child: increments(config, child).mean(),
                         rng.spawn(replicas))
-    return mean_estimate(list(means))
+    est = mean_estimate(list(means))
+    if not np.isfinite([est.value, est.stderr]).all():
+        raise _overflow("the speed estimate", config)
+    return est
 
 
 def per_step_mean_parts(
@@ -169,7 +184,10 @@ def per_step_mean_parts(
         raise ValueError(f"replicas >= 2 required, got {replicas}")
     sel = -digamma(config.N + 1) / config.alpha
     sums = pareto_row_sums(1.0, config.N, replicas, rng)
-    return sel, mean_estimate(np.log(sums) / config.alpha)
+    growth = mean_estimate(np.log(sums) / config.alpha)
+    if not np.isfinite([sel, growth.value, growth.stderr]).all():
+        raise _overflow("the growth part", config)
+    return sel, growth
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ naive evaluation cancels. The size-biased Pareto c_N integrates Laplace
 transforms with mpmath's tanh-sinh rule, and so do the exact speed and the
 k-step moments of the forward model. Transition-matrix entries of the
 discrete chain come from sums over compositions and, at alpha = 0, from
-exact integer Stirling numbers. Alternative algebraic routes (the moment
-form of the Lambda rates and of the finite-N merger probabilities, the
-product form of the Xi merger probabilities) live here too, as independent
-cross-checks of the package's own recursions and estimators.
+exact integer Stirling numbers; the gamma block-count law is the
+Dirichlet-multinomial occupancy summed over compositions, in exact
+rationals. Alternative algebraic routes (the moment form of the Lambda
+rates and of the finite-N merger probabilities, the product form of the Xi
+merger probabilities) live here too, as independent cross-checks of the
+package's own recursions and estimators.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
@@ -238,6 +241,45 @@ def gamma_partition_c_N_exact(theta: float, N: int) -> float:
     quoted (1/N)(1+theta)/theta is this law's large-N limit.
     """
     return (1.0 + theta) / (N * theta + 1.0)
+
+
+def gamma_block_counts_exact(theta, N: int, i: int) -> list[Fraction]:
+    """P(k blocks), k = 1..i, when i uniforms fall on N gamma(theta)
+    segments normalized by their sum; exact for rational theta = a/c.
+
+    The normalized segments are a symmetric Dirichlet(theta) vector, so the
+    hit counts (n_1..n_N) are Dirichlet-multinomial: i!/prod n_c! times
+    prod (theta)_(n_c) / (N theta)_i, with rising factorials (x)_m. Every
+    rising factorial carries c^-m, and those cancel, leaving integers. For
+    k blocks choose the k colours hit, C(N, k) ways (0 once k > N), and sum
+    over the compositions of i into k parts: 2^(i-1) terms in all.
+    """
+    a, c = Fraction(theta).numerator, Fraction(theta).denominator
+    rising = [1]
+    for m in range(i):
+        rising.append(rising[-1] * (a + m * c))
+    fact = [math.factorial(m) for m in range(i + 1)]
+    total = math.prod(N * a + m * c for m in range(i))
+    row = []
+    for k in range(1, i + 1):
+        ways = sum(
+            fact[i] // math.prod([fact[p] for p in comp])
+            * math.prod([rising[p] for p in comp])
+            for comp in _compositions(i, k)
+        )
+        row.append(Fraction(math.comb(N, k) * ways, total))
+    return row
+
+
+def absorption_steps(P: np.ndarray, n0: int) -> float:
+    """Mean steps to reach one block from n0 under the transition matrix P.
+
+    E[T_i] = (1 + sum_{j<i} P[i, j] E[T_j]) / (1 - P[i, i]), E[T_1] = 0.
+    """
+    T = np.zeros(n0 + 1)
+    for i in range(2, n0 + 1):
+        T[i] = (1.0 + float(P[i, 1:i] @ T[1:i])) / (1.0 - P[i, i])
+    return float(T[n0])
 
 
 def pareto_c_N_exact(alpha: float, beta: float, N: int) -> float:

@@ -499,6 +499,23 @@ class TestForwardCommand:
         err = capsys.readouterr().err
         assert "generations" in err and "1000000" in err
 
+    @pytest.mark.parametrize(
+        "extra, what",
+        [([], "log fitness at generation 115"),
+         (["--replicas", "2"], "the speed estimate")],
+    )
+    def test_log_space_overflow_exits_two(self, extra, what, tmp_path, capsys):
+        # ln(10)/alpha passes at alpha = 1e-306; the sums of ~1e306
+        # increments overflow after about a hundred generations.
+        rc, text = run_cli(
+            ["forward", "--alpha", "1e-306", "--N", "10", "--generations",
+             "400", *extra],
+            tmp_path,
+        )
+        assert rc == 2 and text == ""
+        err = capsys.readouterr().err
+        assert f"error: {what} overflows at alpha=1e-306, N=10" in err
+
     def test_pressure_sweep(self, tmp_path):
         rc, text = run_cli(
             ["pressure", "--alpha", "1", "--N", "10000"],

@@ -1,17 +1,22 @@
 import contextlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from oracles import (
+    absorption_steps,
     estimate_moment_form,
+    gamma_block_counts_exact,
     gamma_partition_c_N_exact,
     pareto_c_N_exact,
 )
-from paretocoal import finite_mc
+from paretocoal import finite_mc, rates
 from paretocoal.finite_mc import (
     PartitionModel,
     absorb,
@@ -114,6 +119,48 @@ class TestGammaOracle:
         assert abs(approx - exact) / exact < 2e-3
         est = estimate_c_N(PartitionModel.gamma(theta, N), 30_000, RngStream(27))
         assert abs(est.value - approx) < 3 * est.stderr
+
+
+class TestGammaUrn:
+    """Uniforms on N normalized gamma(theta) segments fall as in a Polya urn
+    of N colours, so their block count is Pitman's PD(-theta, N theta) law;
+    the gamma chain steps through that urn."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(1, 8), st.integers(1, 15),
+        st.integers(1, 11),
+    )
+    def test_pd_rows_match_dirichlet_multinomial(self, p, q, N, i):
+        theta = Fraction(p, q)
+        row = rates._pd_block_counts(-float(theta), N * float(theta), i).row(i)
+        exact = [float(x) for x in gamma_block_counts_exact(theta, N, i)]
+        assert np.allclose(row, exact, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("theta, N, b, seed", [(1.0, 100, 20, 51), (0.5, 5, 8, 52)])
+    def test_urn_step_matches_exact_row(self, theta, N, b, seed, monkeypatch):
+        monkeypatch.setattr(finite_mc, "absorb", lambda n0, step: [n0, step(n0)])
+        model, reps, rng = PartitionModel.gamma(theta, N), 20_000, RngStream(seed)
+        firsts = np.array(
+            [run_discrete_coalescent(model, b, rng).blocks[1] for _ in range(reps)]
+        )
+        exact = [float(x) for x in gamma_block_counts_exact(Fraction(theta), N, b)]
+        for k, p in enumerate(exact, 1):
+            freq = (firsts == k).mean()
+            assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / reps)
+
+    def test_mean_absorption_time_is_exact(self):
+        # gamma(1), N = 100 from 20 blocks: 95.498 steps on the exact matrix.
+        P = np.zeros((21, 21))
+        table = rates._pd_block_counts(-1.0, 100.0, 20)
+        for i in range(1, 21):
+            P[i, 1:i + 1] = table.row(i)
+        exact = absorption_steps(P, 20)
+        assert abs(exact - 95.498) < 1e-3
+        model, rng = PartitionModel.gamma(1.0, 100), RngStream(53)
+        steps = [run_discrete_coalescent(model, 20, rng).steps for _ in range(10_000)]
+        se = np.std(steps, ddof=1) / math.sqrt(len(steps))
+        assert abs(np.mean(steps) - exact) < 3 * se
 
 
 class TestParetoOracle:
@@ -505,11 +552,21 @@ class TestDiscreteCoalescent:
                     run_discrete_coalescent(model, 8, RngStream(seed))
 
     def test_all_zero_row_raises(self):
-        # Nearly every gamma(1e-6) draw is exactly 0.0.
+        # Nearly every gamma(1e-6) draw is exactly 0.0. The block estimators
+        # draw segments and raise; the chain walks the urn, whose law is
+        # exact at any theta > 0, and absorbs.
         model = PartitionModel.gamma(1e-6, 10)
         assert not model.draw(10, RngStream(0)).any()
         with pytest.raises(ValueError, match="theta=1e-06, N=10"):
-            run_discrete_coalescent(model, 4, RngStream(0))
+            estimate_p_row(model, 4, 100, RngStream(0))
+        assert run_discrete_coalescent(model, 4, RngStream(0)).blocks[-1] == 1
+
+    def test_path_is_plain_ints_with_state_views(self):
+        traj = run_discrete_coalescent(PartitionModel.gamma(1.0, 5), 9, RngStream(50))
+        assert all(type(b) is int for b in traj.blocks)
+        assert traj.steps == len(traj.blocks) - 1
+        assert [(s.when, s.blocks) for s in traj.states] == [
+            (float(k), b) for k, b in enumerate(traj.blocks)]
 
     @pytest.mark.slow
     def test_absorption_time_tracks_pairwise_rate(self):

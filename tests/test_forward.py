@@ -358,3 +358,34 @@ class TestExplicitOverflow:
                 st, fit = explicit_fitnesses(st, cfg, rng)
                 assert np.all(np.isfinite(fit))
         assert 300 < st.k < 400
+
+
+class TestLogSpaceOverflow:
+    # At alpha = 1e-306, N = 10 generation 0's ln(N)/alpha = 2.3e306 is
+    # finite, but each log increment is about 1e306, so the log-space sums
+    # leave the doubles after about a hundred generations.
+    def tiny(self, generations=400, alpha=1e-306):
+        return ForwardConfig(N=10, alpha=alpha, generations=generations)
+
+    def test_trajectory_names_the_first_infinite_generation(self):
+        with np.errstate(all="ignore"):
+            states = trajectory(self.tiny(114), RngStream(0))
+            assert np.isfinite([s.log_fittest for s in states]).all()
+            with pytest.raises(ValueError, match=(
+                    r"generation 115 overflows at alpha=1e-306, N=10")):
+                trajectory(self.tiny(115), RngStream(0))
+
+    # np.errstate does not reach the replica threads of speed_estimate
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_speed_path_raises_naming_alpha_and_N(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=(
+                    r"speed estimate overflows at alpha=1e-306, N=10")):
+                speed_estimate(self.tiny(), 2, RngStream(0))
+            with pytest.raises(ValueError, match=(
+                    r"growth part overflows at alpha=1e-306, N=10")):
+                per_step_mean_parts(self.tiny(), 20, RngStream(0))
+            # ln(10)/alpha = 1.5e308 is finite, a larger log point sum is not
+            with pytest.raises(ValueError, match=(
+                    r"log increment overflows at alpha=1.5e-308, N=10")):
+                increments(self.tiny(alpha=1.5e-308), RngStream(0))
